@@ -6,6 +6,7 @@ meant for humans goes to stderr. Exit codes: 0 success, 1 domain failure
 parse errors. All commands are deterministic given their flags and seed.
 """
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -15,12 +16,7 @@ from .evaluation import simulate_cost
 from .graphs import design_condition_applies, graph_from_dict
 from .plant import plant_from_dict, validate
 from .ratio import ratio_report_to_csv, ratio_sweep
-from .synthesis import (
-    centralized_optimal,
-    controller_to_dict,
-    deadbeat,
-    sink_aware,
-)
+from .synthesis import centralized_optimal, deadbeat, sink_aware
 from .verify import run_acceptance
 
 STRATEGIES = ("centralized", "deadbeat", "theta")
@@ -48,12 +44,35 @@ def _build(loader, payload, what):
         _fail_usage(f"{what} JSON has the wrong shape: {exc}")
 
 
-def _emit(text, out_path):
+@contextlib.contextmanager
+def _output(out_path):
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text, out_path):
+    with _output(out_path) as fh:
+        fh.write(text)
+
+
+def _write_controller(fh, k, cost):
+    """Write the controller object, one matrix row per line.
+
+    Each row goes through json.dumps without indent (the C encoder), so the
+    floats are the same shortest round-trip decimals as an indented dump
+    and the whole text is never held at once.
+    """
+    for idx, name in enumerate(("A_K", "B_K", "C_K", "D_K")):
+        fh.write(("{" if idx == 0 else ",") + f'\n  "{name}": [')
+        for r, row in enumerate(getattr(k, name)):
+            fh.write(("," if r else "") + "\n    " + json.dumps(row.tolist()))
+        fh.write("\n  ]")
+    if cost is not None:
+        fh.write(',\n  "cost": ' + json.dumps(cost.as_dict()))
+    fh.write("\n}\n")
 
 
 def _thread_cap():
@@ -107,10 +126,9 @@ def cmd_synthesize(args):
         k = deadbeat(p)
     else:
         k = sink_aware(p, g)
-    payload = controller_to_dict(k)
-    if args.with_cost:
-        payload["cost"] = simulate_cost(p, k).as_dict()
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    cost = simulate_cost(p, k) if args.with_cost else None
+    with _output(args.out) as fh:
+        _write_controller(fh, k, cost)
     return 0
 
 

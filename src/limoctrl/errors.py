@@ -78,7 +78,14 @@ class SingularResolventError(LimoctrlError):
 
 
 class UncontrollablePairError(LimoctrlError):
-    """Augmented pair fails the rank test, no stabilizing solution exists."""
+    """(A, B) fails the PBH rank test, so the augmented pair is not
+    controllable and no stabilizing solution exists.
+
+    The augmented pair is controllable iff (A, B) is, because the free
+    update xi(k+1) reaches every disturbance-side direction; the solver
+    accordingly iterates the n-dim (A, B, I, I) DARE. Only a zero input
+    gain can trigger this error.
+    """
 
 
 # ratio experiments

@@ -1,10 +1,17 @@
 """Cheap-control Riccati fixed point for the augmented plant.
 
 The plant is augmented with the combined input xi = u + w, whose one-step
-update becomes the new control. With identity state weight and zero weight
-on that new control the Riccati recursion is singular, but the inner matrix
-inverted each step equals the lower-right block of X and stays at or above
-the identity, so plain value iteration from X = I is well posed.
+update v in xi(k+1) = D xi + v becomes the new control. With identity state
+weight and zero weight on v the 2n-dim Riccati recursion is singular. But v
+is free and unweighted, so xi(k+1) is a free choice: minimising over it
+leaves the state-sized matrix P = X11 - X12 X22^-1 X21, and the fixed point
+is X = I + [A B]' P [A B] with P the solution of the standard n-dim DARE
+
+    P = I + A'PA - A'PB (I + BPB)^-1 BPA        (Q = R = I).
+
+The solver value-iterates that n-dim equation from P = 0, which matches
+the 2n-dim iteration from X = I step for step, and assembles X and the
+gains from P.
 """
 from dataclasses import dataclass
 
@@ -29,7 +36,14 @@ class AugmentedSystem:
 
 def augment(p):
     """Build the augmented pair ([[A, B], [0, D]], [[0], [I]]) and assert it
-    is controllable (rank test at every eigenvalue)."""
+    is controllable.
+
+    In the PBH pencil [lam I - A~, B~] the block row [0, lam I - D, I] has
+    rank n at every lam, so the augmented pair is controllable iff (A, B)
+    is. With every b_ii nonzero B is invertible and (A, B) is controllable
+    by construction; only a zero gain triggers a rank test, on the n-dim
+    pair at each eigenvalue of A.
+    """
     n = p.n
     a_tilde = np.zeros((2 * n, 2 * n))
     a_tilde[:n, :n] = p.A
@@ -37,13 +51,15 @@ def augment(p):
     a_tilde[n:, n:] = np.diag(p.d_diag)
     b_tilde = np.zeros((2 * n, n))
     b_tilde[n:, :] = np.eye(n)
-    pencil = np.empty((2 * n, 3 * n), dtype=complex)
-    pencil[:, 2 * n:] = b_tilde
-    for lam in np.linalg.eigvals(a_tilde):
-        pencil[:, :2 * n] = lam * np.eye(2 * n) - a_tilde
-        if np.linalg.matrix_rank(pencil) < 2 * n:
-            raise UncontrollablePairError(
-                f"augmented pair loses rank at eigenvalue {lam}")
+    if np.any(p.b_diag == 0.0):
+        pencil = np.empty((n, 2 * n), dtype=complex)
+        pencil[:, n:] = np.diag(p.b_diag)
+        for lam in np.linalg.eigvals(p.A):
+            pencil[:, :n] = lam * np.eye(n) - p.A
+            if np.linalg.matrix_rank(pencil) < n:
+                raise UncontrollablePairError(
+                    f"(A, B) loses rank at eigenvalue {lam} of A, so the "
+                    f"augmented pair is not controllable")
     return AugmentedSystem(a_tilde=a_tilde, b_tilde=b_tilde, n=n)
 
 
@@ -59,10 +75,14 @@ class DareSolution:
     residual: float
 
 
-def _gain_rhs(x, sys):
-    # the inner matrix equals X22, positive definite whenever X >= I
-    inner = sys.b_tilde.T @ x @ sys.b_tilde
-    rhs = sys.b_tilde.T @ x @ sys.a_tilde
+def _blocks(sys):
+    # A, diag(B), diag(D) as augment lays them out in A~
+    n = sys.n
+    return (sys.a_tilde[:n, :n], np.diag(sys.a_tilde[:n, n:]),
+            np.diag(sys.a_tilde[n:, n:]))
+
+
+def _solve_inner(inner, rhs):
     try:
         return np.linalg.solve(inner, rhs)
     except np.linalg.LinAlgError as exc:
@@ -71,45 +91,75 @@ def _gain_rhs(x, sys):
             "positive definiteness, which signals an internal bug") from exc
 
 
-def solve_singular_dare(sys, tol=1e-12, max_iter=100000):
-    """Value-iterate X <- A~' X A~ - A~' X B~ (B~' X B~)^-1 B~' X A~ + I from
-    X = I until the step change drops below tol.
+def _gain(p_mat, a, b):
+    """K = (I + BPB)^-1 BPA of the (A, B, I, I) DARE, with the PA and BPA
+    it is built from."""
+    pa = p_mat @ a
+    bpa = b[:, None] * pa
+    inner = np.eye(len(b)) + b[:, None] * p_mat * b[None, :]
+    return pa, bpa, _solve_inner(inner, bpa)
 
-    The absolute tolerance is unreachable once entries of X exceed about
+
+def _lift(q, a, b):
+    """I + [A B]' Q [A B], the augmented-state value of a state-sized Q."""
+    n = len(b)
+    qa = q @ a
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = a.T @ qa
+    out[n:, :n] = b[:, None] * qa
+    out[:n, n:] = out[n:, :n].T
+    out[n:, n:] = b[:, None] * q * b[None, :]
+    return 0.5 * (out + out.T) + np.eye(2 * n)
+
+
+def solve_singular_dare(sys, tol=1e-12, max_iter=100000):
+    """Fixed point of X <- A~' X A~ - A~' X B~ (B~' X B~)^-1 B~' X A~ + I,
+    found by value-iterating the n-dim (A, B, I, I) DARE for P from P = 0
+    until P's step change drops below tol.
+
+    The absolute tolerance is unreachable once entries of P exceed about
     1e4 (one ulp is then larger than tol), so an iterate that is stationary
-    to a few ulps of its own scale is also accepted. The reported residual
-    is the max-abs Riccati defect of the returned X.
+    to a few ulps of its own scale is also accepted. The returned X is
+    I + [A B]' P [A B], the gains are G1 = -K A and G2 = -K B - D with
+    K = (I + BPB)^-1 BPA, and the reported residual is the max-abs Riccati
+    defect of X.
     """
-    dim = 2 * sys.n
-    eye = np.eye(dim)
-    x = eye.copy()
+    a, b, d = _blocks(sys)
+    n = sys.n
+    p_mat = np.zeros((n, n))
     delta = np.inf
     for iterations in range(1, max_iter + 1):
-        x_next = sys.a_tilde.T @ x @ sys.a_tilde \
-            - (sys.a_tilde.T @ x @ sys.b_tilde) @ _gain_rhs(x, sys) + eye
-        x_next = 0.5 * (x_next + x_next.T)
-        delta = float(np.max(np.abs(x_next - x)))
-        x = x_next
-        if delta < tol or delta <= 64.0 * _MACH_EPS * (1.0 + float(np.max(np.abs(x)))):
+        pa, bpa, k = _gain(p_mat, a, b)
+        p_next = np.eye(n) + a.T @ pa - bpa.T @ k
+        p_next = 0.5 * (p_next + p_next.T)
+        delta = float(np.max(np.abs(p_next - p_mat)))
+        p_mat = p_next
+        if delta < tol or delta <= 64.0 * _MACH_EPS * (1.0 + float(np.max(np.abs(p_mat)))):
             break
     else:
         raise NoConvergenceError(
             f"no fixed point within {max_iter} iterations, last step change {delta:.3e}",
             iterations=max_iter, residual=delta)
-    n = sys.n
-    g = -_gain_rhs(x, sys)
+    k = _gain(p_mat, a, b)[2]
+    x = _lift(p_mat, a, b)
     return DareSolution(
         X=x, X11=x[:n, :n], X12=x[:n, n:], X22=x[n:, n:],
-        G1=g[:, :n], G2=g[:, n:],
+        G1=-k @ a, G2=-k * b[None, :] - np.diag(d),
         iterations=iterations, residual=dare_residual(x, sys))
 
 
 def dare_residual(x, sys):
-    """Max-abs entry of the fixed-point defect of x."""
-    dim = 2 * sys.n
-    defect = (sys.a_tilde.T @ x @ sys.b_tilde) @ _gain_rhs(x, sys) \
-        - sys.a_tilde.T @ x @ sys.a_tilde + x - np.eye(dim)
-    return float(np.max(np.abs(defect)))
+    """Max-abs entry of the fixed-point defect of a symmetric x.
+
+    Minimising over the free xi(k+1) turns the Riccati map into
+    I + [A B]' S [A B] with S the Schur complement X11 - X12 X22^-1 X21,
+    so the defect needs only n-dim products.
+    """
+    a, b, _ = _blocks(sys)
+    n = sys.n
+    x12 = x[:n, n:]
+    schur = x[:n, :n] - x12 @ _solve_inner(x[n:, n:], x12.T)
+    return float(np.max(np.abs(_lift(schur, a, b) - x)))
 
 
 def worst_case_family_solution(i, j, r, eps_b, n=None):

@@ -119,6 +119,24 @@ def test_synthesize_with_cost_appends_report(files, capsys):
         GOOD_PLANT, lc.deadbeat(GOOD_PLANT)).total
 
 
+def test_synthesize_writes_one_matrix_row_per_line(files):
+    out = files["tmp"] / "controller.json"
+    rc = main(["synthesize", "--plant", str(files["plant"]),
+               "--graph", str(files["graph"]), "--strategy", "centralized",
+               "--with-cost", "--out", str(out)])
+    assert rc == 0
+    text = out.read_text()
+    k = lc.centralized_optimal(GOOD_PLANT)
+    payload = lc.controller_to_dict(k)
+    payload["cost"] = lc.simulate_cost(GOOD_PLANT, k).as_dict()
+    # same object as an indented dump, floats equal bit for bit
+    assert json.dumps(json.loads(text)) == json.dumps(payload)
+    rows = [line.strip().rstrip(",") for line in text.splitlines()
+            if line.lstrip().startswith("[")]
+    assert len(rows) == 4 * GOOD_PLANT.n
+    assert all(len(json.loads(row)) == GOOD_PLANT.n for row in rows)
+
+
 def test_synthesize_refuses_inadmissible_plant(files, capsys):
     rc = main(["synthesize", "--plant", str(files["plant"]),
                "--graph", str(files["loops"]), "--strategy", "deadbeat"])
