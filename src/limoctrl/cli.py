@@ -8,7 +8,6 @@ parse errors. All commands are deterministic given their flags and seed.
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from .errors import LimoctrlError
@@ -16,10 +15,8 @@ from .evaluation import simulate_cost
 from .graphs import design_condition_applies, graph_from_dict
 from .plant import plant_from_dict, validate
 from .ratio import ratio_report_to_csv, ratio_sweep
-from .synthesis import centralized_optimal, deadbeat, sink_aware
+from .synthesis import STRATEGIES, strategy_builder
 from .verify import run_acceptance
-
-STRATEGIES = ("centralized", "deadbeat", "theta")
 
 
 def _fail_usage(message):
@@ -75,14 +72,6 @@ def _write_controller(fh, k, cost):
     fh.write("\n}\n")
 
 
-def _thread_cap():
-    raw = os.environ.get("LIMO_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _grid(text):
     try:
         values = [float(t) for t in text.split(",") if t.strip()]
@@ -120,12 +109,7 @@ def cmd_synthesize(args):
             print(json.dumps(v.as_dict()), file=sys.stderr)
         print("plant is not admissible; not synthesizing", file=sys.stderr)
         return 1
-    if args.strategy == "centralized":
-        k = centralized_optimal(p, tol=args.tol)
-    elif args.strategy == "deadbeat":
-        k = deadbeat(p)
-    else:
-        k = sink_aware(p, g)
+    k = strategy_builder(args.strategy)(p, g)
     cost = simulate_cost(p, k) if args.with_cost else None
     with _output(args.out) as fh:
         _write_controller(fh, k, cost)
@@ -133,8 +117,7 @@ def cmd_synthesize(args):
 
 
 def cmd_ratio_sweep(args):
-    report = ratio_sweep(args.i, args.j, args.eps_b, args.r_grid, n=args.n,
-                         max_workers=_thread_cap())
+    report = ratio_sweep(args.i, args.j, args.eps_b, args.r_grid, n=args.n)
     if args.format == "csv":
         _emit(ratio_report_to_csv(report), args.out)
     else:
@@ -175,10 +158,8 @@ def _parser():
     ps = sub.add_parser("synthesize", help="emit a controller as JSON")
     ps.add_argument("--plant", required=True)
     ps.add_argument("--graph", required=True)
-    ps.add_argument("--strategy", required=True, choices=STRATEGIES)
+    ps.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
     ps.add_argument("--eps-b", type=float, default=1.0)
-    ps.add_argument("--tol", type=float, default=1e-12,
-                    help="solver tolerance for the centralized strategy")
     ps.add_argument("--with-cost", action="store_true",
                     help="append the simulated closed-loop cost")
     ps.add_argument("--out", default=None)

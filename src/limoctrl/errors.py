@@ -74,7 +74,8 @@ class SingularInnerMatrixError(LimoctrlError):
 
 
 class SingularResolventError(LimoctrlError):
-    """(zI - A_K) not invertible at a probe point."""
+    """(zI - A_K) not invertible at the requested point z: z is a
+    controller mode."""
 
 
 class UncontrollablePairError(LimoctrlError):

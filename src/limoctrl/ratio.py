@@ -1,13 +1,13 @@
 """Competitive-ratio machinery.
 
 Every ratio here divides a strategy's cost by the cost of the centralized
-optimum. The centralized optimum is itself a lower bound on the best
-controller satisfying the information structure, so each reported ratio is
-an upper bound on the true competitive ratio; on plants whose coupling
-matrix squares to zero the two optima coincide and the ratio is exact.
-The 0/0 case is defined as 1.
+design, the optimal disturbance-accommodating controller built with the
+full model. That cost does not bound every structured design's cost from
+below: with x0 != 0 a structured design can cost less, so its ratio can
+fall below 1. On the single-coupling worst-case family the sweep's
+ratios climb toward the analytic bound from below. The 0/0 case is
+defined as 1.
 """
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import csv
 import io
@@ -29,12 +29,12 @@ from .evaluation import (
 from .graphs import isolated_nodes, sink_partition
 from .plant import sample_ensemble, worst_case_family
 from .riccati import augment, solve_singular_dare
-from .synthesis import sink_aware
+from .synthesis import strategy_builder
 
 DENOMINATOR_NOTE = (
-    "denominator is the centralized optimum, a lower bound on the best "
-    "structured cost; each ratio is an upper bound on the true competitive "
-    "ratio, exact when A @ A = 0"
+    "denominator is the cost of the centralized design, the optimal "
+    "controller with full model information; with x0 != 0 a structured "
+    "design can cost less, so a ratio can fall below 1"
 )
 
 
@@ -56,32 +56,28 @@ def _safe_ratio(numerator, denominator):
     return numerator / denominator
 
 
+def _centralized_cost(p):
+    return centralized_cost_closed_form(p, solve_singular_dare(augment(p)))
+
+
+# strategies whose cost has an exact closed form; as in synthesis.STRATEGIES,
+# entries look their function up by module-level name at call time
+_CLOSED_FORMS = {
+    "centralized": _centralized_cost,
+    "deadbeat": lambda p: deadbeat_cost_closed_form(p),
+}
+
+
 def strategy_cost(p, strategy, g_p=None):
     """Cost of one strategy on one plant, by the tightest available route.
 
-    deadbeat and centralized use their exact closed forms; the sink-aware
-    strategy has no closed form and is simulated.
+    deadbeat and centralized use their exact closed forms; every other
+    strategy is built from its table entry and simulated.
     """
-    if strategy == "deadbeat":
-        return deadbeat_cost_closed_form(p)
-    if strategy == "centralized":
-        return centralized_cost_closed_form(p, solve_singular_dare(augment(p)))
-    if strategy == "theta":
-        if g_p is None:
-            raise InvalidSpecError("the theta strategy needs the plant graph")
-        return simulate_cost(p, sink_aware(p, g_p)).total
-    raise InvalidSpecError(f"unknown strategy {strategy!r}")
-
-
-def per_plant_ratio(p, strategy, g_p=None):
-    """J(strategy) / J(centralized optimum) for one plant, 0/0 read as 1."""
-    sol = solve_singular_dare(augment(p))
-    denominator = centralized_cost_closed_form(p, sol)
-    if strategy == "centralized":
-        numerator = denominator
-    else:
-        numerator = strategy_cost(p, strategy, g_p)
-    return _safe_ratio(numerator, denominator)
+    closed = _CLOSED_FORMS.get(strategy)
+    if closed is not None:
+        return closed(p)
+    return simulate_cost(p, strategy_builder(strategy)(p, g_p)).total
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,21 @@ class PlantRatio:
         return {"plant_id": self.plant_id, "r_param": self.r_param,
                 "J_strategy": self.J_strategy,
                 "J_centralized": self.J_centralized, "ratio": self.ratio}
+
+
+def _plant_ratio(p, strategy, g_p, plant_id=None, r_param=None):
+    """One PlantRatio, the centralized cost solved once for the plant."""
+    denominator = _centralized_cost(p)
+    numerator = denominator if strategy == "centralized" \
+        else strategy_cost(p, strategy, g_p)
+    return PlantRatio(plant_id=plant_id, J_strategy=numerator,
+                      J_centralized=denominator,
+                      ratio=_safe_ratio(numerator, denominator), r_param=r_param)
+
+
+def per_plant_ratio(p, strategy, g_p=None):
+    """J(strategy) / J(centralized design) for one plant, 0/0 read as 1."""
+    return _plant_ratio(p, strategy, g_p).ratio
 
 
 @dataclass(frozen=True)
@@ -119,33 +130,19 @@ def _sup(entries):
     return max(finite) if finite else float("nan")
 
 
-def _family_point(args):
-    i, j, r, eps_b, n = args
-    p = worst_case_family(i, j, r, eps_b, n)
-    numerator = deadbeat_cost_closed_form(p)
-    denominator = centralized_cost_closed_form(p, solve_singular_dare(augment(p)))
-    return PlantRatio(plant_id=f"family_r_{r:g}", J_strategy=numerator,
-                      J_centralized=denominator,
-                      ratio=_safe_ratio(numerator, denominator), r_param=float(r))
-
-
-def ratio_sweep(i, j, eps_b, r_grid, n=2, max_workers=1):
+def ratio_sweep(i, j, eps_b, r_grid, n=2):
     """Deadbeat-vs-optimal ratio along the single-coupling family.
 
     One entry per grid value of the coupling weight r; the ratio climbs
     toward the analytic bound as |r| grows. On these plants the coupling
-    matrix squares to zero, so the denominator is the exact structured
-    optimum, not just a lower bound.
+    matrix squares to zero, and the centralized design has the closed form
+    of nilpotent_centralized.
     """
     grid = list(r_grid)
     if not grid:
         raise InvalidSpecError("r grid must be nonempty")
-    jobs = [(i, j, r, eps_b, n) for r in grid]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            entries = list(pool.map(_family_point, jobs))
-    else:
-        entries = [_family_point(job) for job in jobs]
+    entries = [_plant_ratio(worst_case_family(i, j, r, eps_b, n), "deadbeat",
+                            None, f"family_r_{r:g}", float(r)) for r in grid]
     return RatioReport(per_plant=tuple(entries), sup_estimate=_sup(entries),
                        analytic_bound=ratio_bound(eps_b),
                        family_params={"i": i, "j": j, "eps_b": eps_b,
@@ -155,16 +152,8 @@ def ratio_sweep(i, j, eps_b, r_grid, n=2, max_workers=1):
 def ensemble_ratio_report(spec, strategy, g_p=None):
     """Per-plant ratios over a sampled ensemble, with the sampled supremum."""
     g_p = g_p if g_p is not None else spec.plant_graph
-    entries = []
-    for idx, p in enumerate(sample_ensemble(spec)):
-        sol = solve_singular_dare(augment(p))
-        denominator = centralized_cost_closed_form(p, sol)
-        numerator = denominator if strategy == "centralized" \
-            else strategy_cost(p, strategy, g_p)
-        entries.append(PlantRatio(plant_id=f"sample_{idx}",
-                                  J_strategy=numerator,
-                                  J_centralized=denominator,
-                                  ratio=_safe_ratio(numerator, denominator)))
+    entries = [_plant_ratio(p, strategy, g_p, f"sample_{idx}")
+               for idx, p in enumerate(sample_ensemble(spec))]
     return RatioReport(per_plant=tuple(entries), sup_estimate=_sup(entries),
                        analytic_bound=ratio_bound(spec.eps_b))
 
@@ -218,16 +207,15 @@ def domination_check(strategy_a, strategy_b, spec, g_p=None, slack=1e-9):
     improvement. Evidence on a finite sample only, never a proof over the
     whole structured set.
     """
-    from .synthesis import _strategy_map
     g_p = g_p if g_p is not None else spec.plant_graph
-    build_a = _strategy_map(strategy_a, g_p)
-    build_b = _strategy_map(strategy_b, g_p)
+    build_a = strategy_builder(strategy_a)
+    build_b = strategy_builder(strategy_b)
     pairs = []
     never_worse = True
     strictly_better = False
     for p in sample_ensemble(spec):
-        cost_a = simulate_cost(p, build_a(p)).total
-        cost_b = simulate_cost(p, build_b(p)).total
+        cost_a = simulate_cost(p, build_a(p, g_p)).total
+        cost_b = simulate_cost(p, build_b(p, g_p)).total
         pairs.append((cost_a, cost_b))
         if cost_a > cost_b + slack:
             never_worse = False

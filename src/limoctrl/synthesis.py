@@ -75,10 +75,14 @@ def controller_from_gains(p, sol):
     return Controller(A_K=p.D, B_K=b_k, C_K=np.eye(p.n), D_K=d_k)
 
 
-def centralized_optimal(p, sol=None, tol=1e-12, max_iter=100000):
-    """Optimal disturbance-accommodating controller with full model access."""
+def centralized_optimal(p, sol=None):
+    """Optimal disturbance-accommodating controller with full model access.
+
+    sol is a solved fixed point of augment(p); without one the singular
+    DARE is solved here with the solver's own defaults.
+    """
     if sol is None:
-        sol = solve_singular_dare(augment(p), tol=tol, max_iter=max_iter)
+        sol = solve_singular_dare(augment(p))
     return controller_from_gains(p, sol)
 
 
@@ -146,6 +150,29 @@ def sink_aware(p, g_p):
     return Controller(A_K=p.D, B_K=b_k, C_K=np.eye(p.n), D_K=d_k)
 
 
+def _theta(p, g_p):
+    if g_p is None:
+        raise InvalidSpecError("the theta strategy needs the plant graph")
+    return sink_aware(p, g_p)
+
+
+# strategy name -> build(p, g_p); entries look their construction up by
+# module-level name at call time, so a wrapper bound to that name sees them
+STRATEGIES = {
+    "centralized": lambda p, g_p: centralized_optimal(p),
+    "deadbeat": lambda p, g_p: deadbeat(p),
+    "theta": _theta,
+}
+
+
+def strategy_builder(name):
+    """The build(p, g_p) of a strategy name; unknown names are rejected."""
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        raise InvalidSpecError(f"unknown strategy {name!r}") from None
+
+
 def transfer_eval(k, z):
     """Evaluate C_K (z I - A_K)^-1 B_K + D_K at one complex point."""
     z = complex(z)
@@ -156,25 +183,18 @@ def transfer_eval(k, z):
     return k.C_K @ resolvent + k.D_K
 
 
-_PROBE_ANGLES = 2.0 * np.pi * np.arange(8) / 8.0
-
-
-def sparsity_pattern(k, tol=1e-9):
+def sparsity_pattern(k):
     """Binary mask of transfer-function entries that are nonzero anywhere.
 
-    Probes eight fixed points on the circle |z| = 3; if a probe lands on a
-    controller mode the whole ring is retried at |z| = 17. An entry whose
-    modulus stays below tol at every probe is reported as structurally zero.
+    With A_K and C_K diagonal, entry (i, j) of C_K (z I - A_K)^-1 B_K + D_K
+    is C_K[i,i] B_K[i,j] / (z - A_K[i,i]) + D_K[i,j], which vanishes for
+    every z iff D_K[i,j] == 0 and C_K[i,i] B_K[i,j] == 0. The mask is read
+    from those entries with no tolerance: a feedthrough entry of 1e-12 is
+    reported as 1, where a numeric probe against a 1e-9 modulus threshold
+    would report 0.
     """
-    for radius in (3.0, 17.0):
-        points = radius * np.exp(1j * _PROBE_ANGLES)
-        try:
-            stacked = np.stack([np.abs(transfer_eval(k, z)) for z in points])
-        except SingularResolventError:
-            continue
-        return (stacked.max(axis=0) >= tol).astype(np.int8)
-    raise SingularResolventError(
-        "probe rings at |z| = 3 and |z| = 17 both intersect the controller modes")
+    through_state = (np.diag(k.C_K) != 0)[:, None] & (k.B_K != 0)
+    return ((k.D_K != 0) | through_state).astype(np.int8)
 
 
 def coupling_cancellation_defect(p, k, rows=None):
@@ -202,16 +222,6 @@ class RowPerturbation:
     a_row: tuple | None = None
     b: float | None = None
     d: float | None = None
-
-
-def _strategy_map(strategy, g_p):
-    if strategy == "deadbeat":
-        return lambda p: deadbeat(p)
-    if strategy == "theta":
-        return lambda p: sink_aware(p, g_p)
-    if strategy == "centralized":
-        return lambda p: centralized_optimal(p)
-    raise InvalidSpecError(f"unknown strategy {strategy!r}")
 
 
 def apply_row_perturbation(p, g_p, row, pert, eps_b=None):
@@ -253,13 +263,15 @@ def limited_info_check(strategy, p, g_p, row, pert, eps_b=None):
     """True iff perturbing one subsystem row leaves every other subcontroller
     bit-identical.
 
-    Holds for the deadbeat and sink-aware constructions, whose row i reads
-    only row i of the model (plus the public graph); fails generically for
-    the centralized strategy, whose Riccati gains mix all rows.
+    strategy is a key of STRATEGIES. The check is evidence for one plant
+    and one perturbation: it holds for the deadbeat and sink-aware
+    constructions, whose row i reads only row i of the model (plus the
+    public graph), and fails generically for the centralized strategy,
+    whose Riccati gains mix all rows.
     """
-    build = _strategy_map(strategy, g_p)
-    base = build(p)
-    perturbed = build(apply_row_perturbation(p, g_p, row, pert, eps_b))
+    build = strategy_builder(strategy)
+    base = build(p, g_p)
+    perturbed = build(apply_row_perturbation(p, g_p, row, pert, eps_b), g_p)
     for j in range(p.n):
         if j == row - 1:
             continue

@@ -379,7 +379,7 @@ def check_sparsity_boundedness(seed, count):
         for k, rows in ((synthesis.deadbeat(p), None),
                         (synthesis.sink_aware(p, g),
                          sorted(set(range(1, p.n + 1)) - graphs.sinks(g)))):
-            pattern = synthesis.sparsity_pattern(k, tol=1e-9)
+            pattern = synthesis.sparsity_pattern(k)
             if pattern[~allowed].any():
                 worst_probe = max(worst_probe, 1.0)
             if rows is not None and not rows:

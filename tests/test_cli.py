@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import limoctrl as lc
-from limoctrl.cli import main
+from limoctrl.cli import _parser, main
+from limoctrl.synthesis import STRATEGIES
 
 
 GOOD_PLANT = lc.Plant(A=[[1.0, 0.0], [2.0, 1.0]], b_diag=[1.0, 1.5],
@@ -88,10 +89,19 @@ def test_unknown_command_and_strategy_exit_two(files, capsys):
         main(["synthesize", "--plant", str(files["plant"]),
               "--graph", str(files["graph"]), "--strategy", "optimal-ish"])
     assert exc.value.code == 2
+    # the solver tolerance is not a synthesize option
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--plant", str(files["plant"]),
+              "--graph", str(files["graph"]), "--strategy", "centralized",
+              "--tol", "1e-10"])
+    assert exc.value.code == 2
     capsys.readouterr()
+    synthesize = next(a for a in _parser()._subparsers._group_actions[0]
+                      .choices["synthesize"]._actions if a.dest == "strategy")
+    assert list(synthesize.choices) == list(STRATEGIES)
 
 
-@pytest.mark.parametrize("strategy", ["centralized", "deadbeat", "theta"])
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_synthesize_emits_controller_json(files, capsys, strategy):
     rc = main(["synthesize", "--plant", str(files["plant"]),
                "--graph", str(files["graph"]), "--strategy", strategy])
@@ -103,6 +113,9 @@ def test_synthesize_emits_controller_json(files, capsys, strategy):
     assert k.n == 2
     if strategy == "deadbeat":
         assert np.array_equal(k.D_K, lc.deadbeat(GOOD_PLANT).D_K)
+    built = STRATEGIES[strategy](GOOD_PLANT, GOOD_GRAPH)
+    for name in ("A_K", "B_K", "C_K", "D_K"):
+        assert np.array_equal(getattr(k, name), getattr(built, name))
 
 
 def test_synthesize_with_cost_appends_report(files, capsys):
@@ -178,19 +191,6 @@ def test_ratio_sweep_json_format(files, capsys):
                                         "r_grid": [1.0, 10.0]}
     assert len(payload["per_plant"]) == 2
     assert payload["denominator_note"]
-
-
-def test_ratio_sweep_thread_env_is_byte_identical(files, capsys, monkeypatch):
-    rc = main(["ratio-sweep", "--r-grid", "1,10,100"])
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("LIMO_THREADS", "3")
-    rc2 = main(["ratio-sweep", "--r-grid", "1,10,100"])
-    pooled = capsys.readouterr().out
-    assert rc == 0 and rc2 == 0
-    assert pooled == serial
-    monkeypatch.setenv("LIMO_THREADS", "not-a-number")
-    assert main(["ratio-sweep", "--r-grid", "1,10,100"]) == 0
-    capsys.readouterr()
 
 
 def test_ratio_sweep_bad_grid_and_domain_errors(files, capsys):

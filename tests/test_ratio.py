@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import limoctrl as lc
+from limoctrl.ratio import strategy_cost
+from limoctrl.synthesis import STRATEGIES
 
 
 SINK_CHAIN = lc.from_edge_list(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
@@ -42,6 +44,8 @@ def test_per_plant_ratio_conventions():
         lc.per_plant_ratio(FLIP_PLANT, "theta")
     with pytest.raises(lc.InvalidSpecError):
         lc.per_plant_ratio(FLIP_PLANT, "no_such_strategy")
+    with pytest.raises(lc.InvalidSpecError):
+        strategy_cost(FLIP_PLANT, "no_such_strategy")
 
 
 def test_per_plant_ratio_can_dip_below_one_with_nonzero_start():
@@ -49,6 +53,16 @@ def test_per_plant_ratio_can_dip_below_one_with_nonzero_start():
     r = lc.per_plant_ratio(FLIP_PLANT, "deadbeat")
     assert math.isclose(r, 0.9351306587816757, rel_tol=1e-12)
     assert r < 1.0
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_strategy_cost_agrees_with_simulating_the_built_controller(strategy):
+    spec = lc.EnsembleSpec(n=3, plant_graph=SINK_CHAIN, seed=5, count=8)
+    for p in lc.sample_ensemble(spec):
+        assert lc.validate(p, SINK_CHAIN, spec.eps_b) == []
+        simulated = lc.simulate_cost(p, STRATEGIES[strategy](p, SINK_CHAIN)).total
+        assert math.isclose(strategy_cost(p, strategy, SINK_CHAIN), simulated,
+                            rel_tol=1e-9)
 
 
 def test_theta_ratio_is_one_on_pure_cross_coupling():
@@ -83,6 +97,8 @@ def test_ratio_sweep_reference_points():
     assert math.isclose(report.analytic_bound, 2.618033988749895, rel_tol=1e-15)
     assert report.family_params == {"i": 1, "j": 2, "eps_b": 1.0,
                                     "r_grid": [1.0, 10.0, 100.0, 1000.0]}
+    with pytest.raises(lc.InvalidSpecError):
+        lc.ratio_sweep(1, 2, 1.0, [])
 
 
 def test_ratio_sweep_approaches_the_bound_from_below():
@@ -92,15 +108,6 @@ def test_ratio_sweep_approaches_the_bound_from_below():
     assert all(r < report.analytic_bound for r in ratios)
     assert math.isclose(ratios[-1], 2.6180339885157315, rel_tol=1e-12)
     assert report.analytic_bound - ratios[-1] < 1e-9
-
-
-def test_ratio_sweep_threaded_run_is_identical():
-    serial = lc.ratio_sweep(1, 2, 1.0, [1.0, 10.0, 100.0])
-    pooled = lc.ratio_sweep(1, 2, 1.0, [1.0, 10.0, 100.0], max_workers=3)
-    for a, b in zip(serial.per_plant, pooled.per_plant):
-        assert a.ratio == b.ratio and a.J_strategy == b.J_strategy
-    with pytest.raises(lc.InvalidSpecError):
-        lc.ratio_sweep(1, 2, 1.0, [])
 
 
 def test_ensemble_ratio_report_is_deterministic():
@@ -129,6 +136,9 @@ def test_domination_self_comparison():
     assert report.a_never_worse
     assert not report.a_strictly_better_somewhere
     assert not report.dominates_on_sample
+    for a, b in (("no_such_strategy", "deadbeat"), ("deadbeat", "no_such_strategy")):
+        with pytest.raises(lc.InvalidSpecError):
+            lc.domination_check(a, b, spec, g_p=SINK_CHAIN)
 
 
 def test_domination_sink_aware_vs_deadbeat_mixed_outcome():

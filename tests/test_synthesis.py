@@ -13,6 +13,7 @@ def scalar_plant(a, b, d, x0=0.0, w0=0.0):
 
 
 SINK_GRAPH = lc.from_edge_list(2, [(1, 1), (2, 2), (1, 2)])
+SINK_CHAIN = lc.from_edge_list(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
 SINK_PLANT = lc.Plant(A=[[1.0, 0.0], [-2.0, 1.0]], b_diag=[1.0, 1.0],
                       d_diag=[0.0, 1.0], x0=[2.0, 1.0], w0=[0.0, 0.0])
 
@@ -200,6 +201,44 @@ def test_sparsity_pattern_retries_when_probe_hits_a_mode():
         assert lc.validate(p, lc.complete_graph(2), 1.0) == []
     assert np.array_equal(lc.sparsity_pattern(lc.deadbeat(p)),
                           [[1, 1], [0, 0]])
+
+
+_ORACLE_POINTS = [2.5 * complex(math.cos(t), math.sin(t)) for t in (0.3, 1.7, 2.9, 4.4)]
+
+
+def _probed_pattern(k):
+    """Oracle: entries of C_K (zI - A_K)^-1 B_K + D_K nonzero at some point."""
+    values = np.stack([np.abs(lc.transfer_eval(k, z)) for z in _ORACLE_POINTS])
+    return (values.max(axis=0) > 0).astype(np.int8)
+
+
+@pytest.mark.parametrize("graph", [SINK_CHAIN, lc.from_edge_list(
+    4, [(1, 1), (2, 2), (1, 3), (3, 1), (2, 4), (4, 3)])])
+def test_sparsity_pattern_matches_transfer_eval_for_every_construction(graph):
+    spec = lc.EnsembleSpec(n=graph.n, plant_graph=graph, seed=31, count=6)
+    for p in lc.sample_ensemble(spec):
+        for k in (lc.centralized_optimal(p), lc.deadbeat(p), lc.sink_aware(p, graph)):
+            assert np.array_equal(lc.sparsity_pattern(k), _probed_pattern(k))
+
+
+def test_sparsity_pattern_reads_structure_exactly():
+    """Hand-built controllers: an entry carried only by C_K B_K, a zero C_K
+    row that silences its B_K row, and a feedthrough entry of 1e-12, which
+    a probe with a 1e-9 modulus threshold reads as 0 and the exact read
+    reports as 1."""
+    modes = np.diag([0.5, -0.25])
+    through_state = lc.Controller(A_K=modes, B_K=[[0.0, 2.0], [0.0, 0.0]],
+                                  C_K=np.eye(2), D_K=np.zeros((2, 2)))
+    silenced = lc.Controller(A_K=modes, B_K=[[0.0, 0.0], [3.0, -1.0]],
+                             C_K=np.diag([1.0, 0.0]), D_K=[[1.0, 0.0], [0.0, 0.0]])
+    tiny = lc.Controller(A_K=modes, B_K=np.zeros((2, 2)), C_K=np.eye(2),
+                         D_K=[[0.0, 0.0], [1e-12, 0.0]])
+    for k, want in ((through_state, [[0, 1], [0, 0]]),
+                    (silenced, [[1, 0], [0, 0]]),
+                    (tiny, [[0, 0], [1, 0]])):
+        assert np.array_equal(lc.sparsity_pattern(k), want)
+        assert np.array_equal(_probed_pattern(k), want)
+    assert np.abs(lc.transfer_eval(tiny, 3.0)).max() < 1e-9
 
 
 def test_cancellation_defect_is_exactly_zero_for_divided_forms():
