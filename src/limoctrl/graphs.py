@@ -6,7 +6,6 @@ from vertex j+1 to vertex i+1 (row = head, column = tail). All public
 indices are 1-based; the 0-based adjacency array is an internal detail.
 """
 from dataclasses import dataclass
-import itertools
 
 import numpy as np
 
@@ -149,18 +148,34 @@ def design_condition_applies(g_p, g_c):
     g_c lacks the edge l -> j.
 
     Returns (found, witness) where witness is the lexicographically first
-    (i, j, l) triple, or None. g_c must contain every self-loop.
+    (i, j, l) triple as Python ints, or None. g_c must contain every
+    self-loop; the first vertex without one is named in the error.
+
+    The search is O(n^2) array work, not a scan of n^3 triples. Let
+    into[i, j] be the cross edge i -> j of g_p (self-loops cleared) and
+    out[j, l] = into[j, l] and not l -> j in g_c. The pair (i, j) has a
+    witness iff into[i, j] holds and out[j] has an entry other than l = i;
+    l = j cannot occur because g_c has every self-loop. The row-major first
+    such pair and the smallest l != i in out[j] give the lexicographically
+    first triple.
     """
     if g_p.n != g_c.n:
         raise DimensionMismatchError(
             f"vertex counts differ: {g_p.n} vs {g_c.n}")
-    for v in range(1, g_c.n + 1):
-        if not g_c.has_edge(v, v):
-            raise MissingSelfLoopError(f"design graph lacks the self-loop at vertex {v}")
-    rng = range(1, g_p.n + 1)
-    for i, j, l in itertools.product(rng, rng, rng):
-        if i == j or j == l or i == l:
-            continue
-        if g_p.has_edge(i, j) and g_p.has_edge(j, l) and not g_c.has_edge(l, j):
-            return True, (i, j, l)
-    return False, None
+    loops = g_c.adj.diagonal()
+    if not loops.all():
+        raise MissingSelfLoopError(
+            f"design graph lacks the self-loop at vertex {int(np.argmin(loops)) + 1}")
+    # Both masks are 0/1, so a > b means a = 1 and b = 0. edge[i, j] is
+    # the edge i+1 -> j+1 of g_p.
+    edge = g_p.adj.T
+    out = edge > g_c.adj
+    into = edge.astype(bool)
+    np.fill_diagonal(into, False)
+    hits = np.flatnonzero(into & (out.sum(axis=1) > out.T))
+    if not hits.size:
+        return False, None
+    i, j = divmod(int(hits[0]), g_p.n)
+    out[j, i] = False
+    l = int(np.argmax(out[j]))
+    return True, (i + 1, j + 1, l + 1)

@@ -182,3 +182,66 @@ def test_supergraph_and_round_trip_properties(n, bits):
     part = lc.sink_partition(g)
     assert sorted(part.permutation) == list(range(1, n + 1))
     assert part.c == len(lc.sinks(g))
+
+
+def test_design_condition_skips_pair_whose_only_completion_is_i():
+    # (1, 2) comes first, but 2 -> 1 only closes the 2-cycle back to 1;
+    # the first real witness starts at 3.
+    g_p = lc.from_edge_list(3, [(1, 2), (2, 1), (3, 2)])
+    assert lc.design_condition_applies(g_p, lc.self_loops_only(3)) == (True, (3, 2, 1))
+    # Here l = i = 1 precedes the completion l = 3 of the same pair.
+    g_p = lc.from_edge_list(3, [(1, 2), (2, 1), (2, 3)])
+    assert lc.design_condition_applies(g_p, lc.self_loops_only(3)) == (True, (1, 2, 3))
+
+
+def test_design_condition_two_cycle_has_no_witness():
+    g_p = lc.from_edge_list(2, [(1, 2), (2, 1)])
+    assert lc.design_condition_applies(g_p, lc.self_loops_only(2)) == (False, None)
+
+
+def test_design_condition_witness_is_python_ints():
+    chain = lc.from_edge_list(3, [(1, 2), (2, 3)])
+    found, witness = lc.design_condition_applies(chain, lc.self_loops_only(3))
+    assert found is True
+    assert all(type(v) is int for v in witness)
+
+
+def _random_pair(rng, n, density_p, density_c):
+    mask_p = (rng.random((n, n)) < density_p).astype(np.int8)
+    mask_c = (rng.random((n, n)) < density_c).astype(np.int8)
+    np.fill_diagonal(mask_c, 1)
+    return lc.from_adjacency(mask_p), lc.from_adjacency(mask_c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7),
+       st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]),
+       st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+       st.integers(0, 2 ** 32 - 1))
+def test_design_condition_matches_oracle_across_sizes(n, density_p, density_c, seed):
+    g_p, g_c = _random_pair(np.random.default_rng(seed), n, density_p, density_c)
+    assert lc.design_condition_applies(g_p, g_c) == _condition_oracle(g_p, g_c)
+
+
+def test_design_condition_matches_oracle_dense_n40():
+    g_p, g_c = _random_pair(np.random.default_rng(40), 40, 0.6, 0.9)
+    expected = _condition_oracle(g_p, g_c)
+    assert expected[0]
+    assert lc.design_condition_applies(g_p, g_c) == expected
+
+
+def test_design_condition_symmetric_closure_n200_has_no_witness():
+    # A sink-graph plant mask (self-loops, 20% cross edges, one fed sink)
+    # against its symmetric closure: every l -> j is in g_c, so the scan
+    # runs in full and finds nothing.
+    rng = np.random.default_rng(200)
+    n = 200
+    mask = (rng.random((n, n)) < 0.2).astype(np.int8)
+    np.fill_diagonal(mask, 1)
+    v = int(rng.integers(n))
+    mask[:, v] = 0
+    mask[v, v] = 1
+    mask[v, (v + 1) % n] = 1
+    g_p = lc.from_adjacency(mask)
+    g_c = lc.from_adjacency(mask | mask.T)
+    assert lc.design_condition_applies(g_p, g_c) == (False, None)
