@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
+TOL_ABS = 1e-12
+QUIET_STEPS = 10
+MAX_STEPS = 10000
+DIVERGENCE_CAP = 1e12
+
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
@@ -76,15 +81,14 @@ class CostReport:
                 "tail_estimate": self.tail_estimate}
 
 
-def simulate_cost(p, k, tol_abs=1e-12, quiet_steps=10, max_steps=10000,
-                  divergence_cap=1e12):
+def simulate_cost(p, k):
     """Accumulate per-step costs until one of three exits.
 
-    converged: the step cost stayed below tol_abs for quiet_steps
-    consecutive steps. diverged: the running total passed divergence_cap,
-    total becomes +inf. Neither flag: max_steps ran out and total is a
-    lower estimate. tail_estimate is the last step cost seen, a proxy for
-    the truncation error; under the converged flag it is below tol_abs.
+    converged: the step cost stayed below TOL_ABS = 1e-12 for QUIET_STEPS =
+    10 steps in a row. diverged: the running total passed DIVERGENCE_CAP =
+    1e12, and total becomes +inf. Neither flag: MAX_STEPS = 10000 steps ran
+    out and total is a lower estimate. tail_estimate is the last step cost
+    seen, a proxy for the truncation error; below TOL_ABS when converged.
     """
     cl = closed_loop(p, k)
     s = cl.initial_state(p)
@@ -95,17 +99,17 @@ def simulate_cost(p, k, tol_abs=1e-12, quiet_steps=10, max_steps=10000,
     steps_used = 0
     converged = False
     diverged = False
-    for steps_used in range(1, max_steps + 1):
+    for steps_used in range(1, MAX_STEPS + 1):
         x = s[:n]
         mix = cl.mix_map @ s
         step_cost = float(x @ x + mix @ mix)
         total += step_cost
-        if total > divergence_cap:
+        if total > DIVERGENCE_CAP:
             diverged = True
             total = float("inf")
             break
-        quiet = quiet + 1 if step_cost < tol_abs else 0
-        if quiet >= quiet_steps:
+        quiet = quiet + 1 if step_cost < TOL_ABS else 0
+        if quiet >= QUIET_STEPS:
             converged = True
             break
         s = cl.transition @ s

@@ -51,12 +51,17 @@ def from_adjacency(mask):
 
 
 def from_edge_list(n, edge_pairs):
-    """Build a graph on n vertices from (frm, to) pairs, 1-based."""
+    """Build a graph on n vertices from (frm, to) pairs of integers, 1-based."""
     mask = np.zeros((n, n), dtype=np.int8)
     for frm, to in edge_pairs:
         if not (1 <= frm <= n and 1 <= to <= n):
             raise DimensionMismatchError(f"edge ({frm},{to}) outside vertex range 1..{n}")
-        mask[to - 1, frm - 1] = 1
+        try:
+            mask[to - 1, frm - 1] = 1
+        except IndexError:
+            # in range, so one index is not an integer (1.5, or even 2.0)
+            raise DimensionMismatchError(
+                f"edge ({frm},{to}): vertex indices must be integers") from None
     return from_adjacency(mask)
 
 

@@ -99,7 +99,9 @@ class Violation:
 def validate(p, g_p, eps_b):
     """Check p against the coupling mask of g_p and the input-gain floor.
 
-    Returns a list of violations, empty when the plant is admissible. A
+    Returns a list of violations, empty when the plant is admissible. Every
+    entry of A, B_diag, D_diag, x0 and w0 must be finite; each NaN or
+    infinity is one finite_entries violation at its 1-based index. A
     disturbance pole with |d_ii| > 1 is legal but triggers a warning: the
     controllers cancel it exactly in theory, while in floating point the
     cancellation degrades as d^k grows.
@@ -110,6 +112,18 @@ def validate(p, g_p, eps_b):
         raise DimensionMismatchError(
             f"plant has {p.n} subsystems but graph has {g_p.n} vertices")
     out = []
+    for field, values in (("A", p.A), ("B_diag", p.b_diag), ("D_diag", p.d_diag),
+                          ("x0", p.x0), ("w0", p.w0)):
+        finite = np.isfinite(values)
+        if finite.all():
+            continue
+        for idx in np.argwhere(~finite):
+            where = tuple(int(k) + 1 for k in idx)
+            out.append(Violation(
+                constraint="finite_entries",
+                where=where,
+                message=f"{field}{''.join(f'[{k}]' for k in where)} = "
+                        f"{float(values[tuple(idx)])!r} is not finite"))
     off_mask = (p.A != 0) & (g_p.adj == 0)
     for i, j in np.argwhere(off_mask):
         out.append(Violation(
@@ -161,9 +175,6 @@ class EnsembleSpec:
     n: int
     plant_graph: DirectedGraph
     eps_b: float = 1.0
-    a_range: tuple = (-2.0, 2.0)
-    b_extra_range: tuple = (0.0, 2.0)
-    d_range: tuple = (-1.0, 1.0)
     seed: int = 0
     count: int = 1
 
@@ -176,30 +187,27 @@ def _check_spec(spec):
     if spec.n != spec.plant_graph.n:
         raise InvalidSpecError(
             f"spec.n = {spec.n} but plant graph has {spec.plant_graph.n} vertices")
-    for name in ("a_range", "b_extra_range", "d_range"):
-        lo, hi = getattr(spec, name)
-        if lo > hi:
-            raise InvalidSpecError(f"{name} is empty: ({lo}, {hi})")
-    if spec.b_extra_range[0] < 0:
-        raise InvalidSpecError("b_extra_range must be nonnegative")
 
 
 def sample_ensemble(spec):
     """Draw spec.count admissible plants, reproducibly.
 
-    Each plant gets its own substream of the default numpy generator
-    (PCG64), seeded with spec.seed + plant index, so any single plant can
-    be regenerated without drawing its predecessors.
+    Plant k draws, in this order, from the default numpy generator (PCG64)
+    seeded with spec.seed + k: A uniform on [-2, 2) times the plant graph's
+    mask; |b_ii| = eps_b + uniform [0, 2), with sign - or + at even odds;
+    d_ii uniform on [-1, 1); x0 and w0 standard normal. Each plant has its
+    own substream, so any single plant can be regenerated without drawing
+    its predecessors.
     """
     _check_spec(spec)
     mask = spec.plant_graph.adj
     plants = []
     for k in range(spec.count):
         rng = np.random.default_rng(spec.seed + k)
-        a = rng.uniform(*spec.a_range, size=(spec.n, spec.n)) * mask
-        magnitude = spec.eps_b + rng.uniform(*spec.b_extra_range, size=spec.n)
+        a = rng.uniform(-2.0, 2.0, size=(spec.n, spec.n)) * mask
+        magnitude = spec.eps_b + rng.uniform(0.0, 2.0, size=spec.n)
         sign = np.where(rng.random(spec.n) < 0.5, -1.0, 1.0)
-        d = rng.uniform(*spec.d_range, size=spec.n)
+        d = rng.uniform(-1.0, 1.0, size=spec.n)
         plants.append(Plant(
             A=a,
             b_diag=sign * magnitude,

@@ -31,11 +31,7 @@ from .plant import sample_ensemble, worst_case_family
 from .riccati import augment, solve_singular_dare
 from .synthesis import strategy_builder
 
-DENOMINATOR_NOTE = (
-    "denominator is the cost of the centralized design, the optimal "
-    "controller with full model information; with x0 != 0 a structured "
-    "design can cost less, so a ratio can fall below 1"
-)
+_SLACK = 1e-9
 
 
 def ratio_bound(eps_b):
@@ -115,7 +111,10 @@ class RatioReport:
     sup_estimate: float
     analytic_bound: float
     family_params: dict | None = None
-    denominator_note: str = DENOMINATOR_NOTE
+    denominator_note = (
+        "denominator is the cost of the centralized design, the optimal "
+        "controller with full model information; with x0 != 0 a structured "
+        "design can cost less, so a ratio can fall below 1")
 
     def as_dict(self):
         return {"per_plant": [e.as_dict() for e in self.per_plant],
@@ -149,10 +148,9 @@ def ratio_sweep(i, j, eps_b, r_grid, n=2):
                                       "r_grid": [float(r) for r in grid]})
 
 
-def ensemble_ratio_report(spec, strategy, g_p=None):
+def ensemble_ratio_report(spec, strategy):
     """Per-plant ratios over a sampled ensemble, with the sampled supremum."""
-    g_p = g_p if g_p is not None else spec.plant_graph
-    entries = [_plant_ratio(p, strategy, g_p, f"sample_{idx}")
+    entries = [_plant_ratio(p, strategy, spec.plant_graph, f"sample_{idx}")
                for idx, p in enumerate(sample_ensemble(spec))]
     return RatioReport(per_plant=tuple(entries), sup_estimate=_sup(entries),
                        analytic_bound=ratio_bound(spec.eps_b))
@@ -199,15 +197,16 @@ class DominationReport:
                 "dominates_on_sample": self.dominates_on_sample}
 
 
-def domination_check(strategy_a, strategy_b, spec, g_p=None, slack=1e-9):
+def domination_check(strategy_a, strategy_b, spec):
     """Compare two strategies plant by plant over a sampled ensemble.
 
-    Both sides are simulated with identical settings so that identical
-    controllers give identical totals and truncation cannot fake a strict
-    improvement. Evidence on a finite sample only, never a proof over the
+    Both sides are built on spec.plant_graph and simulated with identical
+    settings, so identical controllers give identical totals and
+    truncation cannot fake a strict improvement; costs within 1e-9 of each
+    other tie. Evidence on a finite sample only, never a proof over the
     whole structured set.
     """
-    g_p = g_p if g_p is not None else spec.plant_graph
+    g_p = spec.plant_graph
     build_a = strategy_builder(strategy_a)
     build_b = strategy_builder(strategy_b)
     pairs = []
@@ -217,9 +216,9 @@ def domination_check(strategy_a, strategy_b, spec, g_p=None, slack=1e-9):
         cost_a = simulate_cost(p, build_a(p, g_p)).total
         cost_b = simulate_cost(p, build_b(p, g_p)).total
         pairs.append((cost_a, cost_b))
-        if cost_a > cost_b + slack:
+        if cost_a > cost_b + _SLACK:
             never_worse = False
-        if cost_a < cost_b - slack:
+        if cost_a < cost_b - _SLACK:
             strictly_better = True
     return DominationReport(strategy_a=strategy_a, strategy_b=strategy_b,
                             pairs=tuple(pairs), a_never_worse=never_worse,

@@ -224,12 +224,12 @@ class RowPerturbation:
     d: float | None = None
 
 
-def apply_row_perturbation(p, g_p, row, pert, eps_b=None):
+def apply_row_perturbation(p, g_p, row, pert, eps_b):
     """Rebuild p with row `row` (1-based) of (A, b, d) replaced.
 
-    The perturbed plant must stay admissible; anything that would leave the
-    structured set (an off-mask coupling, a gain at zero or under an
-    explicit floor) is rejected.
+    The result must pass validate(q, g_p, eps_b); a row outside 1..n, a
+    replacement row of the wrong length or any violation raises
+    InvalidPerturbationError.
     """
     if not (1 <= row <= p.n):
         raise InvalidPerturbationError(f"row {row} outside 1..{p.n}")
@@ -248,26 +248,21 @@ def apply_row_perturbation(p, g_p, row, pert, eps_b=None):
     if pert.d is not None:
         d[i] = float(pert.d)
     q = Plant(A=a, b_diag=b, d_diag=d, x0=p.x0, w0=p.w0)
-    if eps_b is not None:
-        if validate(q, g_p, eps_b):
-            raise InvalidPerturbationError("perturbed plant violates its structured set")
-    else:
-        if np.any((q.A != 0) & (g_p.adj == 0)):
-            raise InvalidPerturbationError("perturbed coupling leaves the graph mask")
-        if b[i] == 0:
-            raise InvalidPerturbationError("perturbed input gain is zero")
+    if validate(q, g_p, eps_b):
+        raise InvalidPerturbationError("perturbed plant violates its structured set")
     return q
 
 
-def limited_info_check(strategy, p, g_p, row, pert, eps_b=None):
+def limited_info_check(strategy, p, g_p, row, pert, eps_b):
     """True iff perturbing one subsystem row leaves every other subcontroller
     bit-identical.
 
-    strategy is a key of STRATEGIES. The check is evidence for one plant
-    and one perturbation: it holds for the deadbeat and sink-aware
-    constructions, whose row i reads only row i of the model (plus the
-    public graph), and fails generically for the centralized strategy,
-    whose Riccati gains mix all rows.
+    strategy is a key of STRATEGIES, and the perturbed plant must pass
+    apply_row_perturbation under the plant graph g_p and gain floor eps_b.
+    The check is evidence for one plant and one perturbation: it holds for
+    the deadbeat and sink-aware constructions, whose row i reads only row i
+    of the model (plus the public graph), and fails generically for the
+    centralized strategy, whose Riccati gains mix all rows.
     """
     build = strategy_builder(strategy)
     base = build(p, g_p)

@@ -111,14 +111,14 @@ _GRAPH_BUILDERS = {
 }
 
 
-def _sampled_plants(seed, count, eps_b=1.0, mode="any", n_hi=5, n_lo=None):
-    """Deterministic list of (plant, graph) pairs with per-plant graphs."""
+def _sampled_plants(seed, count, eps_b=1.0, mode="any", n_lo=None):
+    """Deterministic (plant, graph) pairs, per-plant graphs, n in n_lo..5."""
     build, mode_lo = _GRAPH_BUILDERS[mode]
     n_lo = mode_lo if n_lo is None else max(n_lo, mode_lo)
     rng = np.random.default_rng(seed)
     out = []
     for k in range(count):
-        n = int(rng.integers(n_lo, n_hi + 1))
+        n = int(rng.integers(n_lo, 6))
         g = build(rng, n)
         spec = plant.EnsembleSpec(n=n, plant_graph=g, eps_b=eps_b,
                                   seed=seed * 100003 + 17 * k + 1, count=1)
@@ -346,12 +346,13 @@ def check_limited_information(seed, trials):
     if trials == 0:
         return _skipped(name)
     rng = np.random.default_rng(seed)
+    eps_b = 1.0
     failures = 0
     total = 0
     for strategy in ("deadbeat", "theta"):
         mode = "sink" if strategy == "theta" else "any"
         pairs = _sampled_plants(seed + (1 if strategy == "theta" else 0),
-                                trials, mode=mode, n_lo=2)
+                                trials, eps_b=eps_b, mode=mode, n_lo=2)
         for p, g in pairs:
             row = int(rng.integers(1, p.n + 1))
             new_row = rng.uniform(-2.0, 2.0, size=p.n) * g.adj[row - 1]
@@ -360,7 +361,7 @@ def check_limited_information(seed, trials):
                 b=float((1.0 + rng.uniform(0.0, 2.0)) * (1 if rng.random() < 0.5 else -1)),
                 d=float(rng.uniform(-1.0, 1.0)))
             total += 1
-            if not synthesis.limited_info_check(strategy, p, g, row, pert):
+            if not synthesis.limited_info_check(strategy, p, g, row, pert, eps_b):
                 failures += 1
     return CheckResult(name=name, passed=failures == 0, measured=failures,
                        tolerance=0,

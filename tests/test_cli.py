@@ -159,6 +159,42 @@ def test_synthesize_refuses_inadmissible_plant(files, capsys):
     assert "not synthesizing" in out.err
 
 
+@pytest.mark.filterwarnings("ignore::limoctrl.errors.DisturbanceGrowthWarning")
+@pytest.mark.parametrize("field, values, where", [
+    ("B_diag", [float("nan"), 1.5], [1]),
+    ("D_diag", [0.3, float("inf")], [2]),
+])
+def test_non_finite_plant_is_refused(files, capsys, field, values, where):
+    bad = files["tmp"] / "non_finite.json"
+    bad.write_text(json.dumps({**lc.plant_to_dict(GOOD_PLANT), field: values}))
+    assert "NaN" in bad.read_text() or "Infinity" in bad.read_text()
+    rc = main(["validate", "--plant", str(bad), "--graph", str(files["graph"])])
+    out = capsys.readouterr()
+    assert rc == 1
+    payloads = [json.loads(line) for line in out.out.strip().split("\n")]
+    assert [(v["constraint"], v["where"]) for v in payloads] == [
+        ("finite_entries", where)]
+    assert field in payloads[0]["message"]
+    rc = main(["synthesize", "--plant", str(bad), "--graph", str(files["graph"]),
+               "--strategy", "deadbeat", "--with-cost"])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.out == ""
+    assert "finite_entries" in out.err and "not synthesizing" in out.err
+
+
+@pytest.mark.parametrize("edge", [[1.5, 2], [2.0, 1]])
+def test_non_integer_vertex_index_exits_one(files, capsys, edge):
+    bad = files["tmp"] / "fractional.json"
+    bad.write_text(json.dumps({"n": 2, "edges": [[1, 1], [2, 2], edge]}))
+    for argv in (["validate"], ["synthesize", "--strategy", "deadbeat"]):
+        rc = main([*argv, "--plant", str(files["plant"]), "--graph", str(bad)])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err.startswith("error: DimensionMismatchError: ")
+
+
 def test_synthesize_out_file(files, capsys):
     target = files["tmp"] / "controller.json"
     rc = main(["synthesize", "--plant", str(files["plant"]),

@@ -94,7 +94,7 @@ def test_simulate_cost_divergence():
 def test_simulate_cost_step_budget_exhaustion():
     # marginally stable loop: unit cost every step, no convergence, no blow-up
     report = lc.simulate_cost(scalar_plant(1.0, 1.0, 0.0, x0=1.0),
-                              zero_controller(1), divergence_cap=1e12)
+                              zero_controller(1))
     assert not report.converged and not report.diverged
     assert report.steps_used == 10000
     assert report.total == 10000.0

@@ -1,12 +1,11 @@
 """Directed-graph layer: constructors, queries, partitions, design condition."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import limoctrl as lc
+from limoctrl.verify import _design_condition_oracle as _condition_oracle
 
 
 def test_from_adjacency_orientation():
@@ -58,6 +57,14 @@ def test_from_edge_list_rejects_out_of_range():
         lc.from_edge_list(2, [(1, 3)])
     with pytest.raises(lc.DimensionMismatchError):
         lc.from_edge_list(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("edge", [(1.5, 2), (2.0, 1), (1, np.float64(2.0))])
+def test_from_edge_list_rejects_non_integer_vertex(edge):
+    with pytest.raises(lc.DimensionMismatchError, match="must be integers"):
+        lc.from_edge_list(2, [edge])
+    with pytest.raises(lc.DimensionMismatchError):
+        lc.graph_from_dict({"n": 2, "edges": [[1, 1], list(edge)]})
 
 
 def test_canned_graphs():
@@ -140,18 +147,6 @@ def test_design_condition_requires_self_loops():
 def test_design_condition_dimension_mismatch():
     with pytest.raises(lc.DimensionMismatchError):
         lc.design_condition_applies(lc.complete_graph(2), lc.complete_graph(3))
-
-
-def _condition_oracle(g_p, g_c):
-    """Brute-force scan used only to cross-check the library predicate."""
-    p_edges = set(g_p.edges())
-    c_edges = set(g_c.edges())
-    hits = [t for t in itertools.product(range(1, g_p.n + 1), repeat=3)
-            if len(set(t)) == 3
-            and (t[0], t[1]) in p_edges
-            and (t[1], t[2]) in p_edges
-            and (t[2], t[1]) not in c_edges]
-    return (True, min(hits)) if hits else (False, None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -84,6 +84,19 @@ def test_validate_errors_and_warning():
         assert lc.validate(p, g, 1.0) == []
 
 
+def test_validate_flags_non_finite_entries():
+    g = lc.complete_graph(2)
+    p = lc.Plant(A=[[0.0, math.inf], [0.0, 0.0]], b_diag=[math.nan, 1.5],
+                 d_diag=[0.3, math.inf], x0=[0.0, -math.inf], w0=[math.nan, 0.0])
+    with pytest.warns(lc.DisturbanceGrowthWarning, match=r"poles \[2\]"):
+        out = [v for v in lc.validate(p, g, 1.0) if v.constraint == "finite_entries"]
+    assert [v.where for v in out] == [(1, 2), (1,), (2,), (2,), (1,)]
+    assert [v.message.split(" = ")[0] for v in out] == [
+        "A[1][2]", "B_diag[1]", "D_diag[2]", "x0[2]", "w0[1]"]
+    assert all("not finite" in v.message for v in out)
+    assert out[0].as_dict()["where"] == [1, 2]
+
+
 def test_normalize_scalar_examples():
     p = scalar_plant(1.0, 1.0, 0.5, x0=1.0, w0=1.0)
     state_w = lc.normalize(p, [4.0], [1.0])
@@ -168,9 +181,33 @@ def test_sample_ensemble_edge_cases():
         lc.sample_ensemble(lc.EnsembleSpec(n=1, plant_graph=g, eps_b=0.0))
     with pytest.raises(lc.InvalidSpecError):
         lc.sample_ensemble(lc.EnsembleSpec(n=2, plant_graph=g))
-    with pytest.raises(lc.InvalidSpecError):
-        lc.sample_ensemble(
-            lc.EnsembleSpec(n=1, plant_graph=g, a_range=(1.0, -1.0)))
+
+
+def test_sample_ensemble_golden_draws():
+    # exact draws for one spec, so that a changed range or draw order fails
+    g = lc.from_edge_list(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)])
+    spec = lc.EnsembleSpec(n=3, plant_graph=g, eps_b=0.5, seed=7, count=2)
+    golden = [
+        {"A": [[0.5003818664186679, 0.0, 1.102742760980774],
+               [-1.0991712400376326, -0.7993348603550983, 0.0],
+               [0.0, 1.2849136735310651, 1.188277715008185]],
+         "b_diag": [-1.4358699056874416, -1.106064853638627, 1.0568512242015466],
+         "d_diag": [0.10699470414898493, 0.9910005668687853, 0.5853238384275061],
+         "x0": [-1.901222739800844, -1.289537739784976, -1.8417350377917323],
+         "w0": [-0.23509113107468127, -1.2674464814437032, 0.2712643588217015]},
+        {"A": [[-0.6921108935777571, 0.0, -0.7251566460579331],
+               [1.1541957432801158, 1.4795860467848643, 0.0],
+               [0.0, -0.5090043876425878, -1.5721856141089026]],
+         "b_diag": [-1.457930908325434, -0.9827042901693646, 1.0142904971022595],
+         "d_diag": [-0.15403162371154733, -0.4881589896835479, 0.18180570353082315],
+         "x0": [-0.8368950200968434, -0.3015466095655266, 0.36233859316943917],
+         "w0": [0.25811026702099754, -1.6394479624476481, 0.360155232237386]},
+    ]
+    plants = lc.sample_ensemble(spec)
+    assert len(plants) == len(golden)
+    for p, want in zip(plants, golden):
+        for field, values in want.items():
+            assert np.array_equal(getattr(p, field), values), field
 
 
 def test_worst_case_family_reference_point():

@@ -132,20 +132,20 @@ def test_ensemble_ratio_report_centralized_is_exactly_one():
 
 def test_domination_self_comparison():
     spec = lc.EnsembleSpec(n=3, plant_graph=SINK_CHAIN, seed=3, count=25)
-    report = lc.domination_check("deadbeat", "deadbeat", spec, g_p=SINK_CHAIN)
+    report = lc.domination_check("deadbeat", "deadbeat", spec)
     assert report.a_never_worse
     assert not report.a_strictly_better_somewhere
     assert not report.dominates_on_sample
     for a, b in (("no_such_strategy", "deadbeat"), ("deadbeat", "no_such_strategy")):
         with pytest.raises(lc.InvalidSpecError):
-            lc.domination_check(a, b, spec, g_p=SINK_CHAIN)
+            lc.domination_check(a, b, spec)
 
 
 def test_domination_sink_aware_vs_deadbeat_mixed_outcome():
     # with nonzero starts the sink-aware design wins on some plants and
     # loses on others, so neither direction dominates
     spec = lc.EnsembleSpec(n=3, plant_graph=SINK_CHAIN, seed=3, count=25)
-    report = lc.domination_check("theta", "deadbeat", spec, g_p=SINK_CHAIN)
+    report = lc.domination_check("theta", "deadbeat", spec)
     assert len(report.pairs) == 25
     assert not report.a_never_worse
     assert report.a_strictly_better_somewhere
@@ -157,7 +157,7 @@ def test_domination_sink_aware_vs_deadbeat_mixed_outcome():
 def test_domination_coincides_without_sinks():
     g = lc.from_edge_list(2, [(1, 1), (2, 2), (1, 2), (2, 1)])
     spec = lc.EnsembleSpec(n=2, plant_graph=g, seed=9, count=10)
-    report = lc.domination_check("theta", "deadbeat", spec, g_p=g)
+    report = lc.domination_check("theta", "deadbeat", spec)
     assert report.a_never_worse
     assert not report.a_strictly_better_somewhere
 

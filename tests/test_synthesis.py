@@ -269,7 +269,7 @@ def test_apply_row_perturbation_replaces_one_row():
                  b_diag=[1.0, 1.5, 2.0], d_diag=[0.5, 0.0, 0.25],
                  x0=[1, 0, 0], w0=[0, 1, 0])
     pert = lc.RowPerturbation(a_row=(1.5, 0.0, 0.0), b=2.0, d=0.1)
-    q = lc.apply_row_perturbation(p, g, 1, pert)
+    q = lc.apply_row_perturbation(p, g, 1, pert, 1.0)
     assert q.A[0, 0] == 1.5 and q.b_diag[0] == 2.0 and q.d_diag[0] == 0.1
     assert np.array_equal(q.A[1:], p.A[1:])
     assert np.array_equal(q.x0, p.x0) and np.array_equal(q.w0, p.w0)
@@ -280,14 +280,14 @@ def test_apply_row_perturbation_rejects_leaving_the_structured_set():
     p = lc.Plant(A=[[1.0, 0.0], [2.0, 1.0]], b_diag=[1.0, 1.0],
                  d_diag=[0, 0], x0=[0, 0], w0=[0, 0])
     with pytest.raises(lc.InvalidPerturbationError):
-        lc.apply_row_perturbation(p, g, 3, lc.RowPerturbation(b=2.0))
+        lc.apply_row_perturbation(p, g, 3, lc.RowPerturbation(b=2.0), 1.0)
     with pytest.raises(lc.InvalidPerturbationError):
-        lc.apply_row_perturbation(p, g, 1, lc.RowPerturbation(a_row=(1.0,)))
+        lc.apply_row_perturbation(p, g, 1, lc.RowPerturbation(a_row=(1.0,)), 1.0)
     with pytest.raises(lc.InvalidPerturbationError):
         # row 1 may not couple to 2: no edge 2 -> 1
-        lc.apply_row_perturbation(p, g, 1, lc.RowPerturbation(a_row=(1.0, 0.5)))
+        lc.apply_row_perturbation(p, g, 1, lc.RowPerturbation(a_row=(1.0, 0.5)), 1.0)
     with pytest.raises(lc.InvalidPerturbationError):
-        lc.apply_row_perturbation(p, g, 2, lc.RowPerturbation(b=0.0))
+        lc.apply_row_perturbation(p, g, 2, lc.RowPerturbation(b=0.0), 1.0)
     with pytest.raises(lc.InvalidPerturbationError):
         lc.apply_row_perturbation(p, g, 2, lc.RowPerturbation(b=0.5), eps_b=1.0)
     # under the floor check a half gain is fine when the floor allows it
@@ -301,8 +301,8 @@ def test_limited_info_check_per_strategy():
                  b_diag=[1.0, 1.5, 2.0], d_diag=[0.5, 0.0, 0.25],
                  x0=[1, 0, 0], w0=[0, 1, 0])
     pert = lc.RowPerturbation(a_row=(1.5, 0.0, 0.0), b=2.0, d=0.1)
-    assert lc.limited_info_check("deadbeat", p, g, 1, pert)
-    assert lc.limited_info_check("theta", p, g, 1, pert)
-    assert not lc.limited_info_check("centralized", p, g, 1, pert)
+    assert lc.limited_info_check("deadbeat", p, g, 1, pert, 1.0)
+    assert lc.limited_info_check("theta", p, g, 1, pert, 1.0)
+    assert not lc.limited_info_check("centralized", p, g, 1, pert, 1.0)
     with pytest.raises(lc.InvalidSpecError):
-        lc.limited_info_check("unknown", p, g, 1, pert)
+        lc.limited_info_check("unknown", p, g, 1, pert, 1.0)
