@@ -7,8 +7,11 @@ parse errors. All commands are deterministic given their flags and seed.
 """
 import argparse
 import contextlib
+import functools
 import json
 import sys
+
+import numpy as np
 
 from .errors import LimoctrlError
 from .evaluation import simulate_cost
@@ -55,17 +58,42 @@ def _emit(text, out_path):
         fh.write(text)
 
 
+def _matrix_rows(m):
+    """Yield the text json.dumps(row.tolist()) gives each row of the float64
+    matrix m, one row at a time.
+
+    A matrix with a NaN or an infinity takes json.dumps itself, which
+    spells those NaN, Infinity and -Infinity.
+    """
+    if not np.isfinite(m).all():
+        for row in m:
+            yield json.dumps(row.tolist())
+        return
+    keep = m.view(np.uint64) != 0           # every float but +0.0
+    zeros = ["0.0"] * m.shape[1]
+    for row, k in zip(m, keep):
+        parts = zeros.copy()
+        for j, v in zip(np.flatnonzero(k).tolist(), row[k].tolist()):
+            parts[j] = repr(v)
+        yield "[" + ", ".join(parts) + "]"
+
+
 def _write_controller(fh, k, cost):
     """Write the controller object, one matrix row per line.
 
-    Each row goes through json.dumps without indent (the C encoder), so the
-    floats are the same shortest round-trip decimals as an indented dump
-    and the whole text is never held at once.
+    The floats are the shortest round-trip decimals an indented json.dump
+    would write (json spells a finite float with repr), and only one row's
+    text is held at a time. Only the entries whose bits are not all zero
+    go through repr: the nonzero ones and -0.0, whose sign bit repr keeps.
+    Every +0.0 is written as the literal 0.0: the designs are sparse (A_K
+    and C_K diagonal, the structured B_K and D_K on the plant graph), so
+    most entries are +0.0 and formatting them one by one would dominate
+    the write.
     """
     for idx, name in enumerate(("A_K", "B_K", "C_K", "D_K")):
         fh.write(("{" if idx == 0 else ",") + f'\n  "{name}": [')
-        for r, row in enumerate(getattr(k, name)):
-            fh.write(("," if r else "") + "\n    " + json.dumps(row.tolist()))
+        for r, text in enumerate(_matrix_rows(getattr(k, name))):
+            fh.write(("," if r else "") + "\n    " + text)
         fh.write("\n  ]")
     if cost is not None:
         fh.write(',\n  "cost": ' + json.dumps(cost.as_dict()))
@@ -138,7 +166,10 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first call and reused by every later
+    main() in the same process."""
     top = argparse.ArgumentParser(
         prog="limoctrl",
         description="Synthesis and competitive-ratio experiments for "

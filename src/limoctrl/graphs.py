@@ -6,6 +6,7 @@ from vertex j+1 to vertex i+1 (row = head, column = tail). All public
 indices are 1-based; the 0-based adjacency array is an internal detail.
 """
 from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -50,18 +51,24 @@ def from_adjacency(mask):
     return DirectedGraph(n=int(a.shape[0]), adj=a)
 
 
+def _non_integer_edge(frm, to):
+    return DimensionMismatchError(f"edge ({frm},{to}): vertex indices must be integers")
+
+
 def from_edge_list(n, edge_pairs):
     """Build a graph on n vertices from (frm, to) pairs of integers, 1-based."""
     mask = np.zeros((n, n), dtype=np.int8)
     for frm, to in edge_pairs:
         if not (1 <= frm <= n and 1 <= to <= n):
             raise DimensionMismatchError(f"edge ({frm},{to}) outside vertex range 1..{n}")
+        if frm is True or to is True:
+            # True compares and indexes as 1; False fails the range check
+            raise _non_integer_edge(frm, to)
         try:
             mask[to - 1, frm - 1] = 1
         except IndexError:
             # in range, so one index is not an integer (1.5, or even 2.0)
-            raise DimensionMismatchError(
-                f"edge ({frm},{to}): vertex indices must be integers") from None
+            raise _non_integer_edge(frm, to) from None
     return from_adjacency(mask)
 
 
@@ -77,8 +84,17 @@ def graph_to_dict(g):
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
+def size_from_dict(d):
+    """d["n"], which must be an integer: a float (2.7, or even 2.0), a
+    boolean or a string is a DimensionMismatchError."""
+    n = d["n"]
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DimensionMismatchError(f'"n" must be an integer, got {n!r}')
+    return int(n)
+
+
 def graph_from_dict(d):
-    return from_edge_list(int(d["n"]), d["edges"])
+    return from_edge_list(size_from_dict(d), d["edges"])
 
 
 def sinks(g):

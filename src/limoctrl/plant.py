@@ -21,7 +21,7 @@ from .errors import (
     SameIndexError,
     ZeroParameterError,
 )
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, size_from_dict
 
 
 def _frozen(a, shape):
@@ -77,7 +77,7 @@ def plant_to_dict(p):
 
 
 def plant_from_dict(d):
-    n = int(d["n"])
+    n = size_from_dict(d)
     a = np.array(d["A"], dtype=float)
     if a.shape != (n, n):
         raise DimensionMismatchError(f"A has shape {a.shape}, expected ({n},{n})")

@@ -1,12 +1,13 @@
 """Command-line entry points, exercised in process via main(argv)."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
 import limoctrl as lc
-from limoctrl.cli import _parser, main
+from limoctrl.cli import _parser, _write_controller, main
 from limoctrl.synthesis import STRATEGIES
 
 
@@ -183,7 +184,7 @@ def test_non_finite_plant_is_refused(files, capsys, field, values, where):
     assert "finite_entries" in out.err and "not synthesizing" in out.err
 
 
-@pytest.mark.parametrize("edge", [[1.5, 2], [2.0, 1]])
+@pytest.mark.parametrize("edge", [[1.5, 2], [2.0, 1], [True, True]])
 def test_non_integer_vertex_index_exits_one(files, capsys, edge):
     bad = files["tmp"] / "fractional.json"
     bad.write_text(json.dumps({"n": 2, "edges": [[1, 1], [2, 2], edge]}))
@@ -193,6 +194,22 @@ def test_non_integer_vertex_index_exits_one(files, capsys, edge):
         assert rc == 1
         assert out.out == ""
         assert out.err.startswith("error: DimensionMismatchError: ")
+
+
+@pytest.mark.parametrize("what, n", [("graph", 2.7), ("graph", True),
+                                     ("plant", 1.9), ("plant", False)])
+def test_non_integer_size_exits_one(files, capsys, what, n):
+    payload = json.loads(files[what].read_text())
+    bad = files["tmp"] / f"bad_{what}.json"
+    bad.write_text(json.dumps({**payload, "n": n}))
+    paths = {"plant": str(files["plant"]), "graph": str(files["graph"]),
+             what: str(bad)}
+    for argv in (["validate"], ["synthesize", "--strategy", "deadbeat"]):
+        rc = main([*argv, "--plant", paths["plant"], "--graph", paths["graph"]])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.out == ""
+        assert out.err.startswith('error: DimensionMismatchError: "n" must be an integer')
 
 
 def test_synthesize_out_file(files, capsys):
@@ -271,3 +288,128 @@ def test_verify_scale_zero_skips_ensembles(files, capsys):
                and not item["passed"] for item in fixed)
     assert any(item["name"] == "criterion_03_dare_explicit_oracle"
                and item["passed"] for item in fixed)
+
+
+# ------------------------------------------------ controller writer, parser
+
+def _reference_write(fh, k, cost):
+    """The controller writer as it was before entries were formatted
+    sparsely: every row through json.dumps(row.tolist())."""
+    for idx, name in enumerate(("A_K", "B_K", "C_K", "D_K")):
+        fh.write(("{" if idx == 0 else ",") + f'\n  "{name}": [')
+        for r, row in enumerate(getattr(k, name)):
+            fh.write(("," if r else "") + "\n    " + json.dumps(row.tolist()))
+        fh.write("\n  ]")
+    if cost is not None:
+        fh.write(',\n  "cost": ' + json.dumps(cost.as_dict()))
+    fh.write("\n}\n")
+
+
+def _written(writer, k, cost=None):
+    fh = io.StringIO()
+    writer(fh, k, cost)
+    return fh.getvalue()
+
+
+def _controller_around(m):
+    """A controller whose B_K and D_K are m and whose A_K and C_K are the
+    diagonal of m."""
+    diag = np.diag(np.diag(m))
+    return lc.Controller(A_K=diag, B_K=m, C_K=diag, D_K=m)
+
+
+_TINY = 5e-324                                  # smallest subnormal
+_WRITER_MATRICES = {
+    "signed_zeros": [[0.0, -0.0, 1.5], [-0.0, 0.0, 0.0], [0.0, 0.0, -0.0]],
+    "subnormals": [[_TINY, 0.0, -_TINY], [2.2250738585072014e-308 / 3, 0.0, 0.0],
+                   [0.0, -1e-310, 0.0]],
+    "huge": [[1e300, -1e300, 0.0], [0.0, 1.7976931348623157e308, 0.0],
+             [-0.0, 0.0, 1e-300]],
+    "dense": np.random.default_rng(7).standard_normal((4, 4)).tolist(),
+    "n1_zero": [[0.0]],
+    "n1_negative_zero": [[-0.0]],
+    "n1_value": [[0.1]],
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITER_MATRICES))
+def test_controller_writer_matches_row_dumps(name):
+    k = _controller_around(np.array(_WRITER_MATRICES[name], dtype=float))
+    text = _written(_write_controller, k)
+    assert text == _written(_reference_write, k)
+    assert json.dumps(json.loads(text)) == json.dumps(lc.controller_to_dict(k))
+
+
+def test_controller_writer_spells_non_finite_entries_as_json_dumps():
+    m = np.array([[np.nan, 0.0, -0.0], [np.inf, 1.0, 0.0], [0.0, -np.inf, 2.5]])
+    k = _controller_around(m)
+    text = _written(_write_controller, k)
+    assert text == _written(_reference_write, k)
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+
+
+def _sink_plant(n, seed):
+    """Admissible plant on a random graph with self-loops, cross edges at
+    density 0.2 and vertex 1 a sink that vertex n feeds."""
+    rng = np.random.default_rng(seed)
+    mask = (rng.random((n, n)) < 0.2).astype(np.int8)
+    np.fill_diagonal(mask, 1)
+    mask[1:, 0] = 0
+    mask[0, n - 1] = 1
+    g = lc.from_adjacency(mask)
+    return lc.sample_ensemble(lc.EnsembleSpec(n=n, plant_graph=g, seed=seed))[0], g
+
+
+def test_synthesize_output_matches_row_dumps(tmp_path):
+    negative_zeros = 0
+    for n in (2, 5, 20, 50):
+        p, g = _sink_plant(n, seed=n)
+        plant_path, graph_path = tmp_path / "plant.json", tmp_path / "graph.json"
+        plant_path.write_text(json.dumps(lc.plant_to_dict(p)))
+        graph_path.write_text(json.dumps(lc.graph_to_dict(g)))
+        for strategy, build in STRATEGIES.items():
+            out = tmp_path / f"{strategy}_{n}.json"
+            rc = main(["synthesize", "--plant", str(plant_path),
+                       "--graph", str(graph_path), "--strategy", strategy,
+                       "--with-cost", "--out", str(out)])
+            assert rc == 0
+            k = build(p, g)
+            text = out.read_text()
+            assert text == _written(_reference_write, k, lc.simulate_cost(p, k))
+            negative_zeros += text.count("-0.0,") + text.count("-0.0]")
+    # the structured designs emit -0.0, which must keep its sign
+    assert negative_zeros > 0
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_built_once_and_reused(files, capsys):
+    plant, graph = str(files["plant"]), str(files["graph"])
+    synthesize = ["synthesize", "--plant", plant, "--graph", graph,
+                  "--strategy", "theta", "--with-cost"]
+    sequences = [
+        ([["synthesize", "--plant", plant, "--graph", graph,
+           "--strategy", "optimal-ish"], synthesize], [2, 0]),
+        ([["validate", "--plant", plant, "--graph", graph,
+           "--design-graph", str(files["loops"])],
+          ["ratio-sweep", "--r-grid", "1,10,100", "--n", "3"], synthesize],
+         [0, 0, 0]),
+    ]
+    for sequence, codes in sequences:
+        alone = []
+        for argv in sequence:
+            _parser.cache_clear()
+            alone.append(_outcome(argv, capsys))
+        _parser.cache_clear()
+        reused = [_outcome(argv, capsys) for argv in sequence]
+        assert reused == alone
+        assert [code for code, _, _ in reused] == codes
+        assert all(out for code, out, _ in reused if code == 0)
+    assert _parser() is _parser()

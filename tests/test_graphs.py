@@ -59,12 +59,21 @@ def test_from_edge_list_rejects_out_of_range():
         lc.from_edge_list(2, [(0, 1)])
 
 
-@pytest.mark.parametrize("edge", [(1.5, 2), (2.0, 1), (1, np.float64(2.0))])
+# True compares and indexes as 1, so it passes the range check
+@pytest.mark.parametrize("edge", [(1.5, 2), (2.0, 1), (1, np.float64(2.0)),
+                                  (True, True), (2, True)])
 def test_from_edge_list_rejects_non_integer_vertex(edge):
     with pytest.raises(lc.DimensionMismatchError, match="must be integers"):
         lc.from_edge_list(2, [edge])
     with pytest.raises(lc.DimensionMismatchError):
         lc.graph_from_dict({"n": 2, "edges": [[1, 1], list(edge)]})
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, True, "2", None])
+def test_graph_from_dict_rejects_non_integer_size(n):
+    with pytest.raises(lc.DimensionMismatchError, match='"n" must be an integer'):
+        lc.graph_from_dict({"n": n, "edges": [[1, 2]]})
+    assert lc.graph_from_dict({"n": np.int64(2), "edges": [[1, 2]]}).n == 2
 
 
 def test_canned_graphs():

@@ -47,6 +47,9 @@ def test_plant_dict_round_trip():
         assert np.array_equal(getattr(q, field), getattr(p, field))
     with pytest.raises(lc.DimensionMismatchError):
         lc.plant_from_dict({**d, "n": 3})
+    for n in (1.9, 2.0, True):
+        with pytest.raises(lc.DimensionMismatchError, match='"n" must be an integer'):
+            lc.plant_from_dict({**d, "n": n})
 
 
 def test_validate_accepts_admissible_plant():
