@@ -20,7 +20,6 @@ from .errors import (
     SameIndexError,
     SingularInnerMatrixError,
     SingularResolventError,
-    UncontrollablePairError,
     ZeroGainError,
     ZeroParameterError,
 )
@@ -52,7 +51,6 @@ from .plant import (
     worst_case_family,
 )
 from .riccati import (
-    AugmentedSystem,
     DareSolution,
     augment,
     dare_residual,

@@ -38,8 +38,12 @@ class NonPositiveWeightError(LimoctrlError):
 
 
 class InvalidSpecError(LimoctrlError):
-    """Plant violates its structural constraints (sparsity mask, input-gain
-    floor, diagonality)."""
+    """A specification is malformed: an ensemble spec, an empty r grid, a
+    graph with isolated vertices, an unknown strategy or theta without its
+    graph, or a controller whose A_K or C_K is not diagonal.
+
+    A plant's sparsity and input-gain floor are not checked here: validate
+    returns their breaches as violations."""
 
 
 class ZeroParameterError(LimoctrlError):
@@ -55,7 +59,8 @@ class NotNilpotentError(LimoctrlError):
 
 
 class ZeroGainError(LimoctrlError):
-    """Input gain entry below the declared floor."""
+    """An input gain b_ii is exactly zero, and the design or cost form
+    asked for divides by it."""
 
 
 # solvers
@@ -78,17 +83,6 @@ class SingularResolventError(LimoctrlError):
     controller mode."""
 
 
-class UncontrollablePairError(LimoctrlError):
-    """(A, B) fails the PBH rank test, so the augmented pair is not
-    controllable and no stabilizing solution exists.
-
-    The augmented pair is controllable iff (A, B) is, because the free
-    update xi(k+1) reaches every disturbance-side direction; the solver
-    accordingly iterates the n-dim (A, B, I, I) DARE. Only a zero input
-    gain can trigger this error.
-    """
-
-
 # ratio experiments
 
 class IndeterminateRatioError(LimoctrlError):
@@ -96,7 +90,8 @@ class IndeterminateRatioError(LimoctrlError):
 
 
 class InvalidPerturbationError(LimoctrlError):
-    """Perturbation magnitude outside the allowed range."""
+    """A row perturbation names a row outside 1..n, gives a replacement row
+    of the wrong length, or leaves the plant outside its structured set."""
 
 
 class DisturbanceGrowthWarning(UserWarning):

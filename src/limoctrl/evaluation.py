@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .plant import require_nonzero_gains
 
 TOL_ABS = 1e-12
 QUIET_STEPS = 10
@@ -128,6 +129,7 @@ def _stacked_form(p, m11, m12, m22):
 def deadbeat_cost_closed_form(p):
     """Exact cost of the deadbeat controller as a quadratic form in
     (x0, B w0); finite for every admissible plant."""
+    require_nonzero_gains(p)
     a = p.A
     dm = p.D
     eye = np.eye(p.n)
@@ -141,7 +143,13 @@ def deadbeat_cost_closed_form(p):
 
 
 def centralized_lower_bound(p):
-    """Quadratic-form floor under the optimal cost, in (x0, B w0)."""
+    """Quadratic form in (x0, B w0) that stays below the centralized
+    design's cost, centralized_cost_closed_form (acceptance criterion 04a).
+
+    It is no floor under other designs' costs: with x0 != 0 the deadbeat
+    design can cost less than this form.
+    """
+    require_nonzero_gains(p)
     a = p.A
     dm = p.D
     eye = np.eye(p.n)

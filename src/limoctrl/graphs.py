@@ -52,22 +52,26 @@ def from_adjacency(mask):
 
 
 def _non_integer_edge(frm, to):
-    return DimensionMismatchError(f"edge ({frm},{to}): vertex indices must be integers")
+    return DimensionMismatchError(
+        f"edge ({frm!r},{to!r}): vertex indices must be integers")
 
 
 def from_edge_list(n, edge_pairs):
     """Build a graph on n vertices from (frm, to) pairs of integers, 1-based."""
     mask = np.zeros((n, n), dtype=np.int8)
     for frm, to in edge_pairs:
-        if not (1 <= frm <= n and 1 <= to <= n):
-            raise DimensionMismatchError(f"edge ({frm},{to}) outside vertex range 1..{n}")
-        if frm is True or to is True:
-            # True compares and indexes as 1; False fails the range check
-            raise _non_integer_edge(frm, to)
         try:
+            if not (1 <= frm <= n and 1 <= to <= n):
+                raise DimensionMismatchError(
+                    f"edge ({frm},{to}) outside vertex range 1..{n}")
+            if frm is True or to is True:
+                # True compares and indexes as 1; False fails the range check
+                raise _non_integer_edge(frm, to)
             mask[to - 1, frm - 1] = 1
-        except IndexError:
-            # in range, so one index is not an integer (1.5, or even 2.0)
+        except (TypeError, IndexError):
+            # TypeError: a string or null vertex does not compare with n.
+            # IndexError: in range, so one index is not an integer (1.5, or
+            # even 2.0)
             raise _non_integer_edge(frm, to) from None
     return from_adjacency(mask)
 

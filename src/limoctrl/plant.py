@@ -19,6 +19,7 @@ from .errors import (
     NonPositiveWeightError,
     NonSquareError,
     SameIndexError,
+    ZeroGainError,
     ZeroParameterError,
 )
 from .graphs import DirectedGraph, size_from_dict
@@ -63,6 +64,19 @@ class Plant:
     @property
     def D(self):
         return np.diag(self.d_diag)
+
+
+def require_nonzero_gains(p):
+    """Raise ZeroGainError if some input gain b_ii of p is exactly zero.
+
+    Every design and cost form divides by b_ii. The check is exact, not
+    against a floor: validate owns the floor, and a gain below it but
+    nonzero still gives finite numbers.
+    """
+    if not p.b_diag.all():
+        i = int(np.flatnonzero(p.b_diag == 0.0)[0])
+        raise ZeroGainError(
+            f"input gain b[{i + 1}] is zero; the designs divide by b_ii")
 
 
 def plant_to_dict(p):

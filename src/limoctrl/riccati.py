@@ -9,77 +9,40 @@ is X = I + [A B]' P [A B] with P the solution of the standard n-dim DARE
 
     P = I + A'PA - A'PB (I + BPB)^-1 BPA        (Q = R = I).
 
-The solver value-iterates that n-dim equation from P = 0, which matches
-the 2n-dim iteration from X = I step for step, and assembles X and the
-gains from P.
+Every routine here reads A, diag(B) and diag(D) straight off the plant; the
+2n-dim pair ([[A, B], [0, D]], [[0], [I]]) is never built. The solver
+value-iterates the n-dim equation from P = 0, which matches the 2n-dim
+iteration from X = I step for step, and assembles X and the gains from P.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    SingularInnerMatrixError,
-    UncontrollablePairError,
-)
-from .plant import worst_case_family
+from .errors import NoConvergenceError, SingularInnerMatrixError
+from .plant import require_nonzero_gains, worst_case_family
 
 _MACH_EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedSystem:
-    a_tilde: np.ndarray
-    b_tilde: np.ndarray
-    n: int
-
-
 def augment(p):
-    """Build the augmented pair ([[A, B], [0, D]], [[0], [I]]) and assert it
-    is controllable.
+    """The plant itself, once every input gain b_ii is checked nonzero.
 
-    In the PBH pencil [lam I - A~, B~] the block row [0, lam I - D, I] has
-    rank n at every lam, so the augmented pair is controllable iff (A, B)
-    is. With every b_ii nonzero B is invertible and (A, B) is controllable
-    by construction; only a zero gain triggers a rank test, on the n-dim
-    pair at each eigenvalue of A.
+    With B invertible, (A, B) is controllable, and so is the augmented
+    pair, whose PBH block row [0, lam I - D, I] has rank n at every lam. A
+    zero gain raises ZeroGainError: the gains G2 B^-1 and every cost form
+    downstream divide by b_ii.
     """
-    n = p.n
-    a_tilde = np.zeros((2 * n, 2 * n))
-    a_tilde[:n, :n] = p.A
-    a_tilde[:n, n:] = np.diag(p.b_diag)
-    a_tilde[n:, n:] = np.diag(p.d_diag)
-    b_tilde = np.zeros((2 * n, n))
-    b_tilde[n:, :] = np.eye(n)
-    if np.any(p.b_diag == 0.0):
-        pencil = np.empty((n, 2 * n), dtype=complex)
-        pencil[:, n:] = np.diag(p.b_diag)
-        for lam in np.linalg.eigvals(p.A):
-            pencil[:, :n] = lam * np.eye(n) - p.A
-            if np.linalg.matrix_rank(pencil) < n:
-                raise UncontrollablePairError(
-                    f"(A, B) loses rank at eigenvalue {lam} of A, so the "
-                    f"augmented pair is not controllable")
-    return AugmentedSystem(a_tilde=a_tilde, b_tilde=b_tilde, n=n)
+    require_nonzero_gains(p)
+    return p
 
 
 @dataclass(frozen=True, eq=False)
 class DareSolution:
     X: np.ndarray
-    X11: np.ndarray
-    X12: np.ndarray
-    X22: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
     iterations: int
     residual: float
-
-
-def _blocks(sys):
-    # A, diag(B), diag(D) as augment lays them out in A~
-    n = sys.n
-    return (sys.a_tilde[:n, :n], np.diag(sys.a_tilde[:n, n:]),
-            np.diag(sys.a_tilde[n:, n:]))
 
 
 def _solve_inner(inner, rhs):
@@ -112,8 +75,9 @@ def _lift(q, a, b):
     return 0.5 * (out + out.T) + np.eye(2 * n)
 
 
-def solve_singular_dare(sys, tol=1e-12, max_iter=100000):
-    """Fixed point of X <- A~' X A~ - A~' X B~ (B~' X B~)^-1 B~' X A~ + I,
+def solve_singular_dare(p, tol=1e-12, max_iter=100000):
+    """Fixed point of X <- A~' X A~ - A~' X B~ (B~' X B~)^-1 B~' X A~ + I
+    on the augmented pair A~ = [[A, B], [0, D]], B~ = [[0], [I]] of plant p,
     found by value-iterating the n-dim (A, B, I, I) DARE for P from P = 0
     until P's step change drops below tol.
 
@@ -124,8 +88,8 @@ def solve_singular_dare(sys, tol=1e-12, max_iter=100000):
     K = (I + BPB)^-1 BPA, and the reported residual is the max-abs Riccati
     defect of X.
     """
-    a, b, d = _blocks(sys)
-    n = sys.n
+    a, b, d = p.A, p.b_diag, p.d_diag
+    n = p.n
     p_mat = np.zeros((n, n))
     delta = np.inf
     for iterations in range(1, max_iter + 1):
@@ -143,23 +107,22 @@ def solve_singular_dare(sys, tol=1e-12, max_iter=100000):
     k = _gain(p_mat, a, b)[2]
     x = _lift(p_mat, a, b)
     return DareSolution(
-        X=x, X11=x[:n, :n], X12=x[:n, n:], X22=x[n:, n:],
-        G1=-k @ a, G2=-k * b[None, :] - np.diag(d),
-        iterations=iterations, residual=dare_residual(x, sys))
+        X=x, G1=-k @ a, G2=-k * b[None, :] - np.diag(d),
+        iterations=iterations, residual=dare_residual(x, p))
 
 
-def dare_residual(x, sys):
-    """Max-abs entry of the fixed-point defect of a symmetric x.
+def dare_residual(x, p):
+    """Max-abs entry of the fixed-point defect of a symmetric 2n-dim x on
+    plant p.
 
     Minimising over the free xi(k+1) turns the Riccati map into
     I + [A B]' S [A B] with S the Schur complement X11 - X12 X22^-1 X21,
     so the defect needs only n-dim products.
     """
-    a, b, _ = _blocks(sys)
-    n = sys.n
+    n = p.n
     x12 = x[:n, n:]
     schur = x[:n, :n] - x12 @ _solve_inner(x[n:, n:], x12.T)
-    return float(np.max(np.abs(_lift(schur, a, b) - x)))
+    return float(np.max(np.abs(_lift(schur, p.A, p.b_diag) - x)))
 
 
 def worst_case_family_solution(i, j, r, eps_b, n=None):

@@ -18,7 +18,7 @@ from .errors import (
     ZeroGainError,
 )
 from .graphs import sinks
-from .plant import Plant, is_nilpotent_deg2, validate
+from .plant import Plant, is_nilpotent_deg2, require_nonzero_gains, validate
 from .riccati import augment, solve_singular_dare
 
 
@@ -91,6 +91,7 @@ def nilpotent_centralized(p):
     squares to zero; agrees with centralized_optimal without solving."""
     if not is_nilpotent_deg2(p.A):
         raise NotNilpotentError("plant coupling matrix A must satisfy A @ A = 0")
+    require_nonzero_gains(p)
     b = p.b_diag
     d = p.d_diag
     shrink = 1.0 / (1.0 + b * b)
@@ -102,6 +103,7 @@ def nilpotent_centralized(p):
 def deadbeat(p):
     """Two-step deadbeat design: cancel couplings and disturbance estimate,
     then hold u + w at zero. Row i uses only (row i of A, b_ii, d_ii)."""
+    require_nonzero_gains(p)
     b = p.b_diag
     d = p.d_diag
     d_k = -(p.A + p.D) / b[:, None]
@@ -135,6 +137,7 @@ def sink_aware(p, g_p):
     if p.n != g_p.n:
         raise DimensionMismatchError(
             f"plant has {p.n} subsystems but graph has {g_p.n} vertices")
+    require_nonzero_gains(p)
     sink_set = sinks(g_p)
     if not sink_set:
         return deadbeat(p)

@@ -184,7 +184,8 @@ def test_non_finite_plant_is_refused(files, capsys, field, values, where):
     assert "finite_entries" in out.err and "not synthesizing" in out.err
 
 
-@pytest.mark.parametrize("edge", [[1.5, 2], [2.0, 1], [True, True]])
+@pytest.mark.parametrize("edge", [[1.5, 2], [2.0, 1], [True, True], ["1", 2],
+                                  [None, 1]])
 def test_non_integer_vertex_index_exits_one(files, capsys, edge):
     bad = files["tmp"] / "fractional.json"
     bad.write_text(json.dumps({"n": 2, "edges": [[1, 1], [2, 2], edge]}))

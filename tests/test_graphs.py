@@ -59,9 +59,11 @@ def test_from_edge_list_rejects_out_of_range():
         lc.from_edge_list(2, [(0, 1)])
 
 
-# True compares and indexes as 1, so it passes the range check
+# True compares and indexes as 1, so it passes the range check; a string
+# or null vertex does not compare with an integer at all
 @pytest.mark.parametrize("edge", [(1.5, 2), (2.0, 1), (1, np.float64(2.0)),
-                                  (True, True), (2, True)])
+                                  (True, True), (2, True), ("1", 2),
+                                  (None, 1)])
 def test_from_edge_list_rejects_non_integer_vertex(edge):
     with pytest.raises(lc.DimensionMismatchError, match="must be integers"):
         lc.from_edge_list(2, [edge])

@@ -1,9 +1,14 @@
-"""Augmented-pair construction and the singular Riccati fixed point."""
+"""The zero-gain gate and the singular Riccati fixed point.
+
+The 2n-dim oracles build the augmented pair themselves with np.block, so
+they share no code with the n-dim solver.
+"""
 
 import numpy as np
 import pytest
 
 import limoctrl as lc
+from limoctrl.ratio import strategy_cost
 
 
 def scalar_plant(a, b, d, x0=0.0, w0=0.0):
@@ -16,21 +21,23 @@ def random_plants(seed, count, n):
         lc.EnsembleSpec(n=n, plant_graph=g, seed=seed, count=count))
 
 
-def test_augment_block_layout():
+def augmented_pair(p):
+    """A~ = [[A, B], [0, D]] and B~ = [[0], [I]], built here as the oracle's
+    own copy."""
+    n = p.n
+    a_t = np.block([[p.A, p.B], [np.zeros((n, n)), p.D]])
+    b_t = np.vstack([np.zeros((n, n)), np.eye(n)])
+    return a_t, b_t
+
+
+def test_augment_returns_the_plant():
     p = lc.Plant(A=[[1.0, 0.0], [2.0, 0.5]], b_diag=[1.0, -2.0],
                  d_diag=[0.5, 0.25], x0=[0, 0], w0=[0, 0])
-    sys = lc.augment(p)
-    assert sys.n == 2
-    assert np.array_equal(sys.a_tilde[:2, :2], p.A)
-    assert np.array_equal(sys.a_tilde[:2, 2:], p.B)
-    assert np.array_equal(sys.a_tilde[2:, :2], np.zeros((2, 2)))
-    assert np.array_equal(sys.a_tilde[2:, 2:], p.D)
-    assert np.array_equal(sys.b_tilde[:2, :], np.zeros((2, 2)))
-    assert np.array_equal(sys.b_tilde[2:, :], np.eye(2))
+    assert lc.augment(p) is p
 
 
 def test_augment_rejects_zero_gain_row():
-    with pytest.raises(lc.UncontrollablePairError):
+    with pytest.raises(lc.ZeroGainError):
         lc.augment(scalar_plant(1.0, 0.0, 0.5))
 
 
@@ -44,23 +51,22 @@ def test_trivial_fixed_point():
 
 def test_solution_satisfies_stationarity():
     for p in random_plants(seed=11, count=6, n=3):
-        sys = lc.augment(p)
-        sol = lc.solve_singular_dare(sys)
+        sol = lc.solve_singular_dare(lc.augment(p))
         scale = 1.0 + float(np.max(np.abs(sol.X)))
-        assert lc.dare_residual(sol.X, sys) <= 1e-11 * scale
+        assert lc.dare_residual(sol.X, p) <= 1e-11 * scale
         assert np.allclose(sol.X, sol.X.T, atol=1e-10 * scale)
         assert np.all(np.linalg.eigvalsh(sol.X) >= -1e-9 * scale)
 
 
 def test_value_iteration_is_monotone_from_identity():
     p = random_plants(seed=3, count=1, n=2)[0]
-    sys = lc.augment(p)
-    sol = lc.solve_singular_dare(sys)
+    sol = lc.solve_singular_dare(lc.augment(p))
+    a_t, b_t = augmented_pair(p)
     x = np.eye(4)
     for _ in range(5):
-        inner = sys.b_tilde.T @ x @ sys.b_tilde
-        cross = sys.b_tilde.T @ x @ sys.a_tilde
-        nxt = (np.eye(4) + sys.a_tilde.T @ x @ sys.a_tilde
+        inner = b_t.T @ x @ b_t
+        cross = b_t.T @ x @ a_t
+        nxt = (np.eye(4) + a_t.T @ x @ a_t
                - cross.T @ np.linalg.solve(inner, cross))
         step = nxt - x
         assert np.min(np.linalg.eigvalsh(step)) >= -1e-9
@@ -73,13 +79,15 @@ def test_gain_block_identities():
     for p in random_plants(seed=21, count=5, n=3):
         sol = lc.solve_singular_dare(lc.augment(p))
         scale = 1.0 + float(np.max(np.abs(sol.X)))
+        n = p.n
+        x11, x12, x22 = sol.X[:n, :n], sol.X[:n, n:], sol.X[n:, n:]
         # input-facing gain recovered from the solution blocks
-        g2 = -(np.linalg.solve(sol.X22, sol.X12.T) @ p.B + p.D)
+        g2 = -(np.linalg.solve(x22, x12.T) @ p.B + p.D)
         assert np.allclose(sol.G2, g2, atol=1e-9 * scale)
         # the state block compresses to a saturated input-size fixed point
-        schur = sol.X11 - sol.X12 @ np.linalg.solve(sol.X22, sol.X12.T)
+        schur = x11 - x12 @ np.linalg.solve(x22, x12.T)
         b_inv = np.diag(1.0 / p.b_diag)
-        assert np.allclose(schur, b_inv @ (sol.X22 - np.eye(p.n)) @ b_inv,
+        assert np.allclose(schur, b_inv @ (x22 - np.eye(n)) @ b_inv,
                            atol=1e-8 * scale)
 
 
@@ -95,9 +103,9 @@ def test_solution_is_a_certified_lower_bound():
 
 
 def test_no_convergence_error_carries_state():
-    sys = lc.augment(scalar_plant(1.0, 1.0, 1.0))
+    p = lc.augment(scalar_plant(1.0, 1.0, 1.0))
     with pytest.raises(lc.NoConvergenceError) as exc:
-        lc.solve_singular_dare(sys, max_iter=1)
+        lc.solve_singular_dare(p, max_iter=1)
     assert exc.value.iterations == 1
     assert exc.value.residual > 0.0
 
@@ -111,7 +119,7 @@ def test_family_solution_matches_iteration():
             scale = 1.0 + float(np.max(np.abs(iterated.X)))
             tol = 64.0 * np.finfo(float).eps * scale + 1e-12
             assert np.max(np.abs(explicit - iterated.X)) <= tol
-            assert lc.dare_residual(explicit, lc.augment(p)) <= 1e-10 * scale
+            assert lc.dare_residual(explicit, p) <= 1e-10 * scale
 
 
 def test_family_solution_explicit_blocks():
@@ -139,22 +147,9 @@ def sink_graph_plant(seed, n, density=0.2):
     return lc.sample_ensemble(spec)[0]
 
 
-def pbh_controllable_2n(p):
-    """The augmented-pair PBH test at every eigenvalue of A~, on the full
-    2n-dim pencil, as an oracle that shares no code with augment."""
-    n = p.n
-    a_t = np.block([[p.A, p.B], [np.zeros((n, n)), p.D]])
-    b_t = np.vstack([np.zeros((n, n)), np.eye(n)])
-    for lam in np.linalg.eigvals(a_t):
-        pencil = np.hstack([lam * np.eye(2 * n) - a_t, b_t])
-        if np.linalg.matrix_rank(pencil) < 2 * n:
-            return False
-    return True
-
-
-def dense_defect(x, sys):
+def dense_defect(x, p):
     """Riccati defect by the 2n-dim triple products, as an oracle."""
-    a_t, b_t = sys.a_tilde, sys.b_tilde
+    a_t, b_t = augmented_pair(p)
     cross = b_t.T @ x @ a_t
     return (cross.T @ np.linalg.solve(b_t.T @ x @ b_t, cross)
             - a_t.T @ x @ a_t + x - np.eye(len(x)))
@@ -163,12 +158,12 @@ def dense_defect(x, sys):
 def test_matches_2n_value_iteration():
     # the singular 2n-dim value iteration from X = I, kept as a reference
     for p in random_plants(seed=29, count=5, n=3):
-        sys = lc.augment(p)
-        sol = lc.solve_singular_dare(sys)
+        sol = lc.solve_singular_dare(lc.augment(p))
+        a_t, b_t = augmented_pair(p)
         x = np.eye(6)
         for _ in range(sol.iterations):
-            cross = sys.b_tilde.T @ x @ sys.a_tilde
-            x = (np.eye(6) + sys.a_tilde.T @ x @ sys.a_tilde
+            cross = b_t.T @ x @ a_t
+            x = (np.eye(6) + a_t.T @ x @ a_t
                  - cross.T @ np.linalg.solve(x[3:, 3:], cross))
             x = 0.5 * (x + x.T)
         scale = float(np.max(np.abs(x)))
@@ -179,20 +174,19 @@ def test_matches_2n_value_iteration():
 def test_large_solution_matches_scipy(n):
     linalg = pytest.importorskip("scipy.linalg")
     p = sink_graph_plant(seed=7, n=n)
-    sys = lc.augment(p)
-    sol = lc.solve_singular_dare(sys)
+    sol = lc.solve_singular_dare(lc.augment(p))
+    a_t, b_t = augmented_pair(p)
     scale = float(np.max(np.abs(sol.X)))
-    x_ref = linalg.solve_discrete_are(sys.a_tilde, sys.b_tilde,
-                                      np.eye(2 * n), np.zeros((n, n)))
+    x_ref = linalg.solve_discrete_are(a_t, b_t, np.eye(2 * n), np.zeros((n, n)))
     assert np.max(np.abs(sol.X - x_ref)) <= 1e-9 * scale
     assert sol.residual <= 1e-11 * scale
     # X22 = I + BPB carries the state-sized (A, B, I, I) solution
     p_ref = linalg.solve_discrete_are(p.A, p.B, np.eye(n), np.eye(n))
     b_inv = np.diag(1.0 / p.b_diag)
-    assembled = b_inv @ (sol.X22 - np.eye(n)) @ b_inv
+    assembled = b_inv @ (sol.X[n:, n:] - np.eye(n)) @ b_inv
     assert np.max(np.abs(assembled - p_ref)) <= 1e-9 * np.max(np.abs(p_ref))
     # and the gains are the 2n-dim ones of that X
-    g = -np.linalg.solve(sol.X22, (sys.b_tilde.T @ sol.X @ sys.a_tilde))
+    g = -np.linalg.solve(sol.X[n:, n:], b_t.T @ sol.X @ a_t)
     assert np.allclose(np.hstack([sol.G1, sol.G2]), g, atol=1e-9 * scale)
 
 
@@ -210,46 +204,41 @@ def test_block_residual_matches_dense_defect():
     # an identity of the map, so it holds away from the fixed point too
     rng = np.random.default_rng(5)
     for p in random_plants(seed=41, count=4, n=4):
-        sys = lc.augment(p)
         m = rng.standard_normal((8, 8))
         x = np.eye(8) + m @ m.T
-        expected = float(np.max(np.abs(dense_defect(x, sys))))
-        assert lc.dare_residual(x, sys) == pytest.approx(expected, rel=1e-10)
+        expected = float(np.max(np.abs(dense_defect(x, p))))
+        assert lc.dare_residual(x, p) == pytest.approx(expected, rel=1e-10)
 
 
-def test_augment_agrees_with_2n_pbh_on_zero_gain_plants():
-    rng = np.random.default_rng(17)
-    outcomes = set()
-    for _ in range(60):
-        n = int(rng.integers(1, 5))
-        mask = rng.random((n, n)) < 0.4
-        np.fill_diagonal(mask, True)
-        b = rng.uniform(1.0, 3.0, n) * (rng.random(n) < 0.6)
-        p = lc.Plant(A=rng.uniform(-2.0, 2.0, (n, n)) * mask, b_diag=b,
-                     d_diag=rng.uniform(-1.0, 1.0, n), x0=np.zeros(n),
-                     w0=np.zeros(n))
-        controllable = pbh_controllable_2n(p)
-        outcomes.add(controllable)
-        if controllable:
-            lc.augment(p)
-        else:
-            with pytest.raises(lc.UncontrollablePairError):
-                lc.augment(p)
-    assert outcomes == {True, False}
+# A = [[0.5, 1], [0, 0.3]] with b = (0, 1) is a plant the old rank probe
+# admitted, and on which every design then divided by zero. Vertex 2 feeds
+# vertex 1, so row 2 is sink_aware's non-sink (deadbeat) row.
+ZERO_GAIN_ENTRY_POINTS = {
+    "augment": lc.augment,
+    "centralized_optimal": lc.centralized_optimal,
+    "strategy_cost_centralized": lambda p: strategy_cost(p, "centralized"),
+    "per_plant_ratio": lambda p: lc.per_plant_ratio(p, "deadbeat"),
+    "deadbeat": lc.deadbeat,
+    "sink_aware": lambda p: lc.sink_aware(
+        p, lc.from_edge_list(2, [(1, 1), (2, 2), (2, 1)])),
+    "deadbeat_cost_closed_form": lc.deadbeat_cost_closed_form,
+    "centralized_lower_bound": lc.centralized_lower_bound,
+}
 
 
-def test_zero_gain_driven_through_a_coupling_is_controllable():
-    # b_11 = 0, but subsystem 2 is driven and couples into subsystem 1
-    p = lc.Plant(A=[[0.5, 1.0], [0.0, 0.3]], b_diag=[0.0, 1.0],
-                 d_diag=[0.2, 0.4], x0=[1.0, 0.0], w0=[0.0, 1.0])
-    assert pbh_controllable_2n(p)
-    lc.augment(p)
+@pytest.mark.parametrize("zero_row", [1, 2])
+@pytest.mark.parametrize("entry", sorted(ZERO_GAIN_ENTRY_POINTS))
+def test_zero_gain_is_refused(entry, zero_row):
+    b = [1.0, 1.0]
+    b[zero_row - 1] = 0.0
+    p = lc.Plant(A=[[0.5, 1.0], [0.0, 0.3]], b_diag=b, d_diag=[0.2, 0.4],
+                 x0=[1.0, 1.0], w0=[1.0, 1.0])
+    with pytest.raises(lc.ZeroGainError, match=f"b\\[{zero_row}\\]"):
+        ZERO_GAIN_ENTRY_POINTS[entry](p)
 
 
-def test_zero_gain_without_driven_inflow_is_uncontrollable():
-    # b_11 = 0 and nothing couples into subsystem 1
-    p = lc.Plant(A=[[0.5, 0.0], [1.0, 0.3]], b_diag=[0.0, 1.0],
-                 d_diag=[0.2, 0.4], x0=[1.0, 0.0], w0=[0.0, 1.0])
-    assert not pbh_controllable_2n(p)
-    with pytest.raises(lc.UncontrollablePairError):
-        lc.augment(p)
+def test_nilpotent_centralized_refuses_zero_gain():
+    p = lc.Plant(A=[[0.0, 1.0], [0.0, 0.0]], b_diag=[1.0, 0.0],
+                 d_diag=[0.2, 0.4], x0=[1.0, 1.0], w0=[1.0, 1.0])
+    with pytest.raises(lc.ZeroGainError, match=r"b\[2\]"):
+        lc.nilpotent_centralized(p)
