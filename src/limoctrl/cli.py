@@ -74,7 +74,8 @@ def _matrix_rows(m):
     for row, k in zip(m, keep):
         parts = zeros.copy()
         for j, v in zip(np.flatnonzero(k).tolist(), row[k].tolist()):
-            parts[j] = repr(v)
+            # a kept entry that is zero is -0.0, whose repr is "-0.0"
+            parts[j] = repr(v) if v else "-0.0"
         yield "[" + ", ".join(parts) + "]"
 
 
@@ -83,12 +84,13 @@ def _write_controller(fh, k, cost):
 
     The floats are the shortest round-trip decimals an indented json.dump
     would write (json spells a finite float with repr), and only one row's
-    text is held at a time. Only the entries whose bits are not all zero
-    go through repr: the nonzero ones and -0.0, whose sign bit repr keeps.
-    Every +0.0 is written as the literal 0.0: the designs are sparse (A_K
-    and C_K diagonal, the structured B_K and D_K on the plant graph), so
-    most entries are +0.0 and formatting them one by one would dominate
-    the write.
+    text is held at a time. Only the nonzero entries go through repr.
+    Every +0.0 is written as the literal 0.0 and every -0.0 as the literal
+    -0.0, the text repr gives it: the designs are sparse (A_K and C_K
+    diagonal, the structured B_K and D_K on the plant graph), so most
+    entries are signed zeros (deadbeat's D_K = -(A + D) / b turns the
+    off-graph zeros of rows with b_ii > 0 into -0.0), and formatting them
+    one by one would dominate the write.
     """
     for idx, name in enumerate(("A_K", "B_K", "C_K", "D_K")):
         fh.write(("{" if idx == 0 else ",") + f'\n  "{name}": [')

@@ -39,14 +39,25 @@ def closed_loop(p, k):
     if k.n != n:
         raise DimensionMismatchError(
             f"controller has {k.n} subcontrollers but plant has {n} subsystems")
+    # Filled by slices rather than np.block, whose per-call overhead is
+    # several times the copying at n <= 5:
+    #   [[A + B D_K, B, B C_K], [0, D, 0], [B_K, 0, A_K]]
     b = p.b_diag[:, None]
-    zeros = np.zeros((n, n))
-    transition = np.block([
-        [p.A + b * k.D_K, np.diag(p.b_diag), b * k.C_K],
-        [zeros, np.diag(p.d_diag), zeros],
-        [k.B_K, zeros, k.A_K],
-    ])
-    mix_map = np.hstack([k.D_K, np.eye(n), k.C_K])
+    transition = np.zeros((3 * n, 3 * n))
+    transition[:n, :n] = p.A + b * k.D_K
+    transition[:n, 2 * n:] = b * k.C_K
+    transition[2 * n:, :n] = k.B_K
+    transition[2 * n:, 2 * n:] = k.A_K
+    # B and D are the diagonals of the middle block column; a stride of
+    # 3n + 1 walks a diagonal of the row-major buffer
+    flat = transition.reshape(-1)
+    step = 3 * n + 1
+    flat[n:n * step:step] = p.b_diag
+    flat[n * step:2 * n * step:step] = p.d_diag
+    mix_map = np.zeros((n, 3 * n))
+    mix_map[:, :n] = k.D_K
+    mix_map[:, n:2 * n] = np.eye(n)
+    mix_map[:, 2 * n:] = k.C_K
     return ClosedLoop(transition=transition, mix_map=mix_map, n=n)
 
 

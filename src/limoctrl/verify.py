@@ -4,8 +4,15 @@ Each check returns a CheckResult; run_acceptance collects all of them. The
 test suite asserts on the same results the `limoctrl verify` command
 prints, so there is exactly one implementation of every check.
 
-Ensembles are regenerated from (seed, count) on every call; two checks
-that quote the same seed and count see the same plants.
+Ensembles are drawn from (seed, count), so two checks that quote the same
+seed and count see the same plants. Within one run_acceptance call the
+checks that quote the same ensemble share it: criteria 01 and 02 share
+their plants, and 04a and 04b share their plants, Riccati solutions and
+optimal-design costs. The shared work sits in a single-entry memo that is
+only filled while run_acceptance runs: the first of the two checks builds
+the entry and the second drops it, and the memo is emptied when the call
+starts and ends. So nothing persists between calls, and a check called on
+its own draws and solves its ensemble afresh.
 """
 from dataclasses import dataclass
 import itertools
@@ -126,6 +133,46 @@ def _sampled_plants(seed, count, eps_b=1.0, mode="any", n_lo=None):
     return out
 
 
+# The work shared between checks of one run_acceptance call: None outside a
+# call, else a dict holding at most one entry, key -> [value, reads left].
+# Entries are pure functions of their key, so a check that misses one only
+# repeats work.
+_memo = None
+
+
+def _shared(key, build):
+    """build(), shared by the two checks of one run_acceptance call that
+    quote the same key: the first to ask builds it, the second drops it."""
+    memo = _memo
+    if memo is None:
+        return build()
+    entry = memo.get(key)
+    if entry is None:
+        memo.clear()                # the old entry goes before the new one is built
+        entry = memo[key] = [build(), 2]
+    entry[1] -= 1
+    if entry[1] == 0:
+        memo.pop(key, None)
+    return entry[0]
+
+
+def _plants(seed, count):
+    """The (plant, graph) pairs of criteria 01 and 02."""
+    return _shared(("plants", seed, count),
+                   lambda: _sampled_plants(seed, count))
+
+
+def _optimal_costs(seed, count):
+    """(plant, optimal-design cost) pairs of criteria 04a and 04b."""
+    def build():
+        out = []
+        for p, _ in _sampled_plants(seed, count):
+            sol = riccati.solve_singular_dare(riccati.augment(p))
+            out.append((p, evaluation.centralized_cost_closed_form(p, sol)))
+        return out
+    return _shared(("optimal_costs", seed, count), build)
+
+
 # ------------------------------------------------------------------- checks
 
 def check_deadbeat_two_step(seed, count):
@@ -133,7 +180,7 @@ def check_deadbeat_two_step(seed, count):
     if count == 0:
         return _skipped(name)
     worst = 0.0
-    for p, _ in _sampled_plants(seed, count):
+    for p, _ in _plants(seed, count):
         k = synthesis.deadbeat(p)
         states, mix = evaluation.simulate_trajectory(p, k, steps=20)
         scale = 1.0 + float(np.linalg.norm(p.x0)) + float(np.linalg.norm(p.w0))
@@ -151,7 +198,7 @@ def check_deadbeat_cost_match(seed, count):
     if count == 0:
         return _skipped(name)
     worst = 0.0
-    for p, _ in _sampled_plants(seed, count):
+    for p, _ in _plants(seed, count):
         k = synthesis.deadbeat(p)
         report = evaluation.simulate_cost(p, k)
         closed = evaluation.deadbeat_cost_closed_form(p)
@@ -188,11 +235,8 @@ def check_lower_bound_order(seed, count):
     if count == 0:
         return _skipped(name)
     worst = -np.inf
-    for p, _ in _sampled_plants(seed, count):
-        lower = evaluation.centralized_lower_bound(p)
-        sol = riccati.solve_singular_dare(riccati.augment(p))
-        optimal = evaluation.centralized_cost_closed_form(p, sol)
-        worst = max(worst, lower - optimal)
+    for p, optimal in _optimal_costs(seed, count):
+        worst = max(worst, evaluation.centralized_lower_bound(p) - optimal)
     return CheckResult(name=name, passed=worst <= 1e-8, measured=worst,
                        tolerance=1e-8,
                        detail=f"max lower-bound excess over the optimal-design "
@@ -205,9 +249,7 @@ def check_optimal_vs_deadbeat(seed, count):
         return _skipped(name)
     worst = -np.inf
     violations = 0
-    for p, _ in _sampled_plants(seed, count):
-        sol = riccati.solve_singular_dare(riccati.augment(p))
-        optimal = evaluation.centralized_cost_closed_form(p, sol)
+    for p, optimal in _optimal_costs(seed, count):
         deadbeat_cost = evaluation.simulate_cost(p, synthesis.deadbeat(p)).total
         gap = optimal - deadbeat_cost
         worst = max(worst, gap)
@@ -393,13 +435,15 @@ def check_sparsity_boundedness(seed, count):
                               f"{count} plants (exact zero required)")
 
 
-def _design_condition_oracle(g_p, g_c):
-    edges_p = set(g_p.edges())
-    edges_c = set(g_c.edges())
-    hits = [t for t in itertools.permutations(range(1, g_p.n + 1), 3)
+def _oracle_on_edges(n, edges_p, edges_c):
+    hits = [t for t in itertools.permutations(range(1, n + 1), 3)
             if (t[0], t[1]) in edges_p and (t[1], t[2]) in edges_p
             and (t[2], t[1]) not in edges_c]
     return (True, min(hits)) if hits else (False, None)
+
+
+def _design_condition_oracle(g_p, g_c):
+    return _oracle_on_edges(g_p.n, set(g_p.edges()), set(g_c.edges()))
 
 
 def check_design_condition_exhaustive():
@@ -412,13 +456,14 @@ def check_design_condition_exhaustive():
             if bits >> b & 1:
                 m[i, j] = 1
         masks.append(graphs.from_adjacency(m))
+    edge_sets = [set(g.edges()) for g in masks]
     disagreements = 0
     cases = 0
-    for g_p in masks:
-        for g_c in masks:
+    for g_p, edges_p in zip(masks, edge_sets):
+        for g_c, edges_c in zip(masks, edge_sets):
             cases += 1
             got = graphs.design_condition_applies(g_p, g_c)
-            want = _design_condition_oracle(g_p, g_c)
+            want = _oracle_on_edges(3, edges_p, edges_c)
             if got != want:
                 disagreements += 1
     return CheckResult(name=name, passed=disagreements == 0,
@@ -431,24 +476,30 @@ def run_acceptance(seed=0, scale=1.0):
     """Run every acceptance check; scale multiplies the ensemble sizes.
 
     At scale 0 the ensemble checks are skipped (reported as such); the
-    fixed-input checks still run.
+    fixed-input checks still run. Checks that quote the same ensemble
+    share it for the length of this call (see the module docstring).
     """
+    global _memo
     c_big = round(200 * scale)
     c_mid = round(100 * scale)
     c_small = round(50 * scale)
-    return [
-        check_deadbeat_two_step(seed + 1000, c_big),
-        check_deadbeat_cost_match(seed + 1000, c_big),
-        check_dare_explicit_oracle(),
-        check_lower_bound_order(seed + 2000, c_big),
-        check_optimal_vs_deadbeat(seed + 2000, c_big),
-        check_ratio_bound_ensemble(seed + 3000, c_big),
-        check_sweep_attainment(),
-        check_family_cost_formula(),
-        check_sink_domination(seed + 4000, c_big),
-        check_cross_coupling_match(seed + 4001, max(0, c_mid // 2)),
-        check_no_sink_identity(seed + 4002, max(0, c_mid // 2)),
-        check_limited_information(seed + 5000, c_small),
-        check_sparsity_boundedness(seed + 6000, c_mid),
-        check_design_condition_exhaustive(),
-    ]
+    _memo = {}
+    try:
+        return [
+            check_deadbeat_two_step(seed + 1000, c_big),
+            check_deadbeat_cost_match(seed + 1000, c_big),
+            check_dare_explicit_oracle(),
+            check_lower_bound_order(seed + 2000, c_big),
+            check_optimal_vs_deadbeat(seed + 2000, c_big),
+            check_ratio_bound_ensemble(seed + 3000, c_big),
+            check_sweep_attainment(),
+            check_family_cost_formula(),
+            check_sink_domination(seed + 4000, c_big),
+            check_cross_coupling_match(seed + 4001, max(0, c_mid // 2)),
+            check_no_sink_identity(seed + 4002, max(0, c_mid // 2)),
+            check_limited_information(seed + 5000, c_small),
+            check_sparsity_boundedness(seed + 6000, c_mid),
+            check_design_condition_exhaustive(),
+        ]
+    finally:
+        _memo = None

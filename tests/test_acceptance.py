@@ -5,11 +5,15 @@ counterexamples are real properties of the constructions, not tolerance
 noise, and each unit-test module pins the smallest plant that shows them.
 The CLI `limoctrl verify` command runs the same checks and exits nonzero
 while these stay red.
+
+The last tests check that the work run_acceptance shares between checks
+changes no result, and that nothing is kept between calls.
 """
 
 import pytest
 
 import limoctrl as lc
+from limoctrl import ratio, riccati, synthesis, verify
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +105,69 @@ def test_criterion_09_sparsity_and_cancellation(acceptance):
 
 def test_criterion_10_design_condition_exhaustive(acceptance):
     _assert_green(acceptance["criterion_10_design_condition_exhaustive"])
+
+
+# ------------------------------------------------------------ shared work
+
+def _each_check_alone(seed, scale):
+    """Every check called on its own, with the arguments run_acceptance
+    gives it."""
+    c_big = round(200 * scale)
+    c_mid = round(100 * scale)
+    c_small = round(50 * scale)
+    return [
+        verify.check_deadbeat_two_step(seed + 1000, c_big),
+        verify.check_deadbeat_cost_match(seed + 1000, c_big),
+        verify.check_dare_explicit_oracle(),
+        verify.check_lower_bound_order(seed + 2000, c_big),
+        verify.check_optimal_vs_deadbeat(seed + 2000, c_big),
+        verify.check_ratio_bound_ensemble(seed + 3000, c_big),
+        verify.check_sweep_attainment(),
+        verify.check_family_cost_formula(),
+        verify.check_sink_domination(seed + 4000, c_big),
+        verify.check_cross_coupling_match(seed + 4001, max(0, c_mid // 2)),
+        verify.check_no_sink_identity(seed + 4002, max(0, c_mid // 2)),
+        verify.check_limited_information(seed + 5000, c_small),
+        verify.check_sparsity_boundedness(seed + 6000, c_mid),
+        verify.check_design_condition_exhaustive(),
+    ]
+
+
+@pytest.fixture
+def dare_calls(monkeypatch):
+    """Count solve_singular_dare calls at every name that binds it."""
+    calls = []
+    solve = riccati.solve_singular_dare
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for module in (riccati, ratio, synthesis):
+        monkeypatch.setattr(module, "solve_singular_dare", counted)
+    return calls
+
+
+def test_shared_ensembles_change_no_result(dare_calls):
+    seed, scale = 3, 0.1
+    alone = [r.as_dict() for r in _each_check_alone(seed, scale)]
+    solves_alone = len(dare_calls)
+    per_run = []
+    for _ in range(2):
+        del dare_calls[:]
+        shared = [r.as_dict() for r in lc.run_acceptance(seed=seed, scale=scale)]
+        per_run.append(len(dare_calls))
+        assert shared == alone
+        assert verify._memo is None
+    # criteria 04a and 04b solve their 200 * scale plants once between them
+    assert per_run == [solves_alone - round(200 * scale)] * 2
+
+
+def test_memo_is_dropped_when_a_check_raises(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(verify, "check_optimal_vs_deadbeat", broken)
+    with pytest.raises(RuntimeError):
+        lc.run_acceptance(seed=0, scale=0.05)
+    assert verify._memo is None

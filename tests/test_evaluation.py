@@ -41,6 +41,46 @@ def test_closed_loop_block_layout():
         lc.closed_loop(p, zero_controller(3))
 
 
+def _block_closed_loop(p, k):
+    """The loop assembled with np.block, as closed_loop once built it."""
+    n = p.n
+    b = p.b_diag[:, None]
+    zeros = np.zeros((n, n))
+    transition = np.block([
+        [p.A + b * k.D_K, np.diag(p.b_diag), b * k.C_K],
+        [zeros, np.diag(p.d_diag), zeros],
+        [k.B_K, zeros, k.A_K],
+    ])
+    return transition, np.hstack([k.D_K, np.eye(n), k.C_K])
+
+
+def _sink_plant(rng, n, density):
+    """A seeded plant on a random graph in which vertex 1 is a sink that
+    vertex 2 feeds (vertex 1 alone when n = 1)."""
+    mask = (rng.random((n, n)) < density).astype(np.int8)
+    np.fill_diagonal(mask, 1)
+    mask[:, 0] = 0
+    mask[0, 0] = 1
+    if n > 1:
+        mask[0, 1] = 1                      # adj[i][j]: edge j+1 -> i+1
+    g = lc.from_adjacency(mask)
+    assert 1 in lc.sinks(g)
+    spec = lc.EnsembleSpec(n=n, plant_graph=g, seed=int(rng.integers(1 << 30)))
+    return lc.sample_ensemble(spec)[0], g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 50])
+def test_closed_loop_matches_block_assembly(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3 if n <= 5 else 1):
+        p, g = _sink_plant(rng, n, 0.5 if n <= 5 else 0.05)
+        for k in (lc.centralized_optimal(p), lc.deadbeat(p), lc.sink_aware(p, g)):
+            cl = lc.closed_loop(p, k)
+            transition, mix_map = _block_closed_loop(p, k)
+            assert np.array_equal(cl.transition, transition)
+            assert np.array_equal(cl.mix_map, mix_map)
+
+
 def test_trajectory_hand_example():
     p = scalar_plant(0.0, 1.0, 1.0, x0=0.0, w0=1.0)
     states, mix = lc.simulate_trajectory(p, lc.deadbeat(p), 5)

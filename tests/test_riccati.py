@@ -102,6 +102,52 @@ def test_solution_is_a_certified_lower_bound():
             assert total >= floor - 1e-6 * (1.0 + abs(floor))
 
 
+def _reference_solve(p, tol=1e-12, max_iter=100000):
+    """The value-iteration loop as it was before its invariants were
+    hoisted: every step rebuilds eye(n), A', b[:, None] and b[None, :] and
+    reads the maxima with np.max. Returns (X, G1, G2, iterations)."""
+    a, b, d = p.A, p.b_diag, p.d_diag
+    n = p.n
+    eps = float(np.finfo(float).eps)
+
+    def gain(p_mat):
+        pa = p_mat @ a
+        bpa = b[:, None] * pa
+        inner = np.eye(len(b)) + b[:, None] * p_mat * b[None, :]
+        return pa, bpa, np.linalg.solve(inner, bpa)
+
+    p_mat = np.zeros((n, n))
+    for iterations in range(1, max_iter + 1):
+        pa, bpa, k = gain(p_mat)
+        p_next = np.eye(n) + a.T @ pa - bpa.T @ k
+        p_next = 0.5 * (p_next + p_next.T)
+        delta = float(np.max(np.abs(p_next - p_mat)))
+        p_mat = p_next
+        if delta < tol or delta <= 64.0 * eps * (1.0 + float(np.max(np.abs(p_mat)))):
+            break
+    k = gain(p_mat)[2]
+    qa = p_mat @ a
+    x = np.empty((2 * n, 2 * n))
+    x[:n, :n] = a.T @ qa
+    x[n:, :n] = b[:, None] * qa
+    x[:n, n:] = x[n:, :n].T
+    x[n:, n:] = b[:, None] * p_mat * b[None, :]
+    x = 0.5 * (x + x.T) + np.eye(2 * n)
+    return x, -k @ a, -k * b[None, :] - np.diag(d), iterations
+
+
+def test_solver_matches_the_unhoisted_loop_bit_for_bit():
+    for seed in range(50):
+        n = 1 + seed % 5
+        p = random_plants(seed=100 + seed, count=1, n=n)[0]
+        sol = lc.solve_singular_dare(lc.augment(p))
+        x, g1, g2, iterations = _reference_solve(p)
+        assert sol.iterations == iterations
+        assert np.array_equal(sol.X, x)
+        assert np.array_equal(sol.G1, g1)
+        assert np.array_equal(sol.G2, g2)
+
+
 def test_no_convergence_error_carries_state():
     p = lc.augment(scalar_plant(1.0, 1.0, 1.0))
     with pytest.raises(lc.NoConvergenceError) as exc:
