@@ -39,8 +39,9 @@ class NonPositiveWeightError(LimoctrlError):
 
 class InvalidSpecError(LimoctrlError):
     """A specification is malformed: an ensemble spec, an empty r grid, a
-    graph with isolated vertices, an unknown strategy or theta without its
-    graph, or a controller whose A_K or C_K is not diagonal.
+    non-finite r, a graph with isolated vertices, an unknown strategy or
+    theta without its graph, or a controller whose A_K or C_K is not
+    diagonal.
 
     A plant's sparsity and input-gain floor are not checked here: validate
     returns their breaches as violations."""
@@ -51,7 +52,7 @@ class ZeroParameterError(LimoctrlError):
 
 
 class NonPositiveEpsilonError(LimoctrlError):
-    """Input-gain floor must be strictly positive."""
+    """Input-gain floor must be positive and finite."""
 
 
 class NotNilpotentError(LimoctrlError):
@@ -66,7 +67,8 @@ class ZeroGainError(LimoctrlError):
 # solvers
 
 class NoConvergenceError(LimoctrlError):
-    """Fixed-point iteration hit max_iter before meeting tolerance."""
+    """Fixed-point iteration hit max_iter before meeting tolerance, or took
+    a non-finite step."""
 
     def __init__(self, message, iterations=None, residual=None):
         super().__init__(message)

@@ -79,6 +79,11 @@ def require_nonzero_gains(p):
             f"input gain b[{i + 1}] is zero; the designs divide by b_ii")
 
 
+def positive_finite(x):
+    """True iff x is a positive finite number: False for NaN and +inf."""
+    return 0 < x < math.inf
+
+
 def plant_to_dict(p):
     return {
         "n": p.n,
@@ -120,8 +125,9 @@ def validate(p, g_p, eps_b):
     controllers cancel it exactly in theory, while in floating point the
     cancellation degrades as d^k grows.
     """
-    if eps_b <= 0:
-        raise NonPositiveEpsilonError(f"eps_b must be positive, got {eps_b}")
+    if not positive_finite(eps_b):
+        raise NonPositiveEpsilonError(
+            f"eps_b must be positive and finite, got {eps_b}")
     if p.n != g_p.n:
         raise DimensionMismatchError(
             f"plant has {p.n} subsystems but graph has {g_p.n} vertices")
@@ -196,8 +202,9 @@ class EnsembleSpec:
 def _check_spec(spec):
     if spec.count < 0:
         raise InvalidSpecError(f"count must be nonnegative, got {spec.count}")
-    if spec.eps_b <= 0:
-        raise InvalidSpecError(f"eps_b must be positive, got {spec.eps_b}")
+    if not positive_finite(spec.eps_b):
+        raise InvalidSpecError(
+            f"eps_b must be positive and finite, got {spec.eps_b}")
     if spec.n != spec.plant_graph.n:
         raise InvalidSpecError(
             f"spec.n = {spec.n} but plant graph has {spec.plant_graph.n} vertices")
@@ -244,8 +251,11 @@ def worst_case_family(i, j, r, eps_b, n=None):
         raise SameIndexError(f"source and target coincide: i = j = {i}")
     if r == 0:
         raise ZeroParameterError("coupling weight r must be nonzero")
-    if eps_b <= 0:
-        raise NonPositiveEpsilonError(f"eps_b must be positive, got {eps_b}")
+    if not math.isfinite(r):
+        raise InvalidSpecError(f"coupling weight r must be finite, got {r}")
+    if not positive_finite(eps_b):
+        raise NonPositiveEpsilonError(
+            f"eps_b must be positive and finite, got {eps_b}")
     if n is None:
         n = max(i, j)
     if not (1 <= i <= n and 1 <= j <= n):

@@ -85,7 +85,8 @@ def solve_singular_dare(p, tol=1e-12, max_iter=100000):
     to a few ulps of its own scale is also accepted. The returned X is
     I + [A B]' P [A B], the gains are G1 = -K A and G2 = -K B - D with
     K = (I + BPB)^-1 BPA, and the reported residual is the max-abs Riccati
-    defect of X.
+    defect of X. A NaN or infinite step change raises NoConvergenceError
+    at once, as does reaching max_iter.
     """
     a, b, d = p.A, p.b_diag, p.d_diag
     n = p.n
@@ -102,6 +103,10 @@ def solve_singular_dare(p, tol=1e-12, max_iter=100000):
         p_mat = p_next
         if delta < tol or delta <= 64.0 * _MACH_EPS * (1.0 + float(np.abs(p_mat).max())):
             break
+        if not delta < np.inf:
+            raise NoConvergenceError(
+                f"step change {delta} at iteration {iterations} is not finite",
+                iterations=iterations, residual=delta)
     else:
         raise NoConvergenceError(
             f"no fixed point within {max_iter} iterations, last step change {delta:.3e}",

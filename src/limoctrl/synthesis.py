@@ -6,6 +6,7 @@ diagonal A_K and C_K so that subcontrollers share no state.
 """
 from dataclasses import dataclass
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,11 @@ from .errors import (
     NotNilpotentError,
     SingularResolventError,
     ZeroGainError,
+)
+from .evaluation import (
+    centralized_cost_closed_form,
+    deadbeat_cost_closed_form,
+    simulate_cost,
 )
 from .graphs import sinks
 from .plant import Plant, is_nilpotent_deg2, require_nonzero_gains, validate
@@ -159,21 +165,41 @@ def _theta(p, g_p):
     return sink_aware(p, g_p)
 
 
-# strategy name -> build(p, g_p); entries look their construction up by
-# module-level name at call time, so a wrapper bound to that name sees them
+class Strategy(NamedTuple):
+    """A design's build(p, g_p) -> Controller and its cost(p, g_p), the
+    tightest route to J: a closed form where one exists, else simulating
+    the built controller."""
+    build: Callable
+    cost: Callable
+
+
+# Entries look their functions up by module-level name at call time, so a
+# wrapper bound to that name sees them.
 STRATEGIES = {
-    "centralized": lambda p, g_p: centralized_optimal(p),
-    "deadbeat": lambda p, g_p: deadbeat(p),
-    "theta": _theta,
+    "centralized": Strategy(
+        build=lambda p, g_p: centralized_optimal(p),
+        cost=lambda p, g_p: centralized_cost_closed_form(
+            p, solve_singular_dare(augment(p)))),
+    "deadbeat": Strategy(
+        build=lambda p, g_p: deadbeat(p),
+        cost=lambda p, g_p: deadbeat_cost_closed_form(p)),
+    "theta": Strategy(
+        build=_theta,
+        cost=lambda p, g_p: simulate_cost(p, _theta(p, g_p)).total),
 }
 
 
-def strategy_builder(name):
-    """The build(p, g_p) of a strategy name; unknown names are rejected."""
+def strategy_entry(name):
+    """The STRATEGIES entry of a strategy name; unknown names are rejected."""
     try:
         return STRATEGIES[name]
     except KeyError:
         raise InvalidSpecError(f"unknown strategy {name!r}") from None
+
+
+def strategy_builder(name):
+    """The build(p, g_p) of a strategy name; unknown names are rejected."""
+    return strategy_entry(name).build
 
 
 def transfer_eval(k, z):

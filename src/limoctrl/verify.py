@@ -5,14 +5,10 @@ test suite asserts on the same results the `limoctrl verify` command
 prints, so there is exactly one implementation of every check.
 
 Ensembles are drawn from (seed, count), so two checks that quote the same
-seed and count see the same plants. Within one run_acceptance call the
-checks that quote the same ensemble share it: criteria 01 and 02 share
-their plants, and 04a and 04b share their plants, Riccati solutions and
-optimal-design costs. The shared work sits in a single-entry memo that is
-only filled while run_acceptance runs: the first of the two checks builds
-the entry and the second drops it, and the memo is emptied when the call
-starts and ends. So nothing persists between calls, and a check called on
-its own draws and solves its ensemble afresh.
+seed and count see the same plants. Two pairs of checks quote the same
+ensemble, and run_acceptance draws each once and hands it to both:
+criteria 01 and 02 take its (plant, graph) pairs, and 04a and 04b take its
+(plant, optimal-design cost) pairs.
 """
 from dataclasses import dataclass
 import itertools
@@ -133,54 +129,23 @@ def _sampled_plants(seed, count, eps_b=1.0, mode="any", n_lo=None):
     return out
 
 
-# The work shared between checks of one run_acceptance call: None outside a
-# call, else a dict holding at most one entry, key -> [value, reads left].
-# Entries are pure functions of their key, so a check that misses one only
-# repeats work.
-_memo = None
-
-
-def _shared(key, build):
-    """build(), shared by the two checks of one run_acceptance call that
-    quote the same key: the first to ask builds it, the second drops it."""
-    memo = _memo
-    if memo is None:
-        return build()
-    entry = memo.get(key)
-    if entry is None:
-        memo.clear()                # the old entry goes before the new one is built
-        entry = memo[key] = [build(), 2]
-    entry[1] -= 1
-    if entry[1] == 0:
-        memo.pop(key, None)
-    return entry[0]
-
-
-def _plants(seed, count):
-    """The (plant, graph) pairs of criteria 01 and 02."""
-    return _shared(("plants", seed, count),
-                   lambda: _sampled_plants(seed, count))
-
-
 def _optimal_costs(seed, count):
     """(plant, optimal-design cost) pairs of criteria 04a and 04b."""
-    def build():
-        out = []
-        for p, _ in _sampled_plants(seed, count):
-            sol = riccati.solve_singular_dare(riccati.augment(p))
-            out.append((p, evaluation.centralized_cost_closed_form(p, sol)))
-        return out
-    return _shared(("optimal_costs", seed, count), build)
+    out = []
+    for p, _ in _sampled_plants(seed, count):
+        sol = riccati.solve_singular_dare(riccati.augment(p))
+        out.append((p, evaluation.centralized_cost_closed_form(p, sol)))
+    return out
 
 
 # ------------------------------------------------------------------- checks
 
-def check_deadbeat_two_step(seed, count):
+def check_deadbeat_two_step(plants):
     name = "criterion_01_deadbeat_two_step"
-    if count == 0:
+    if not plants:
         return _skipped(name)
     worst = 0.0
-    for p, _ in _plants(seed, count):
+    for p, _ in plants:
         k = synthesis.deadbeat(p)
         states, mix = evaluation.simulate_trajectory(p, k, steps=20)
         scale = 1.0 + float(np.linalg.norm(p.x0)) + float(np.linalg.norm(p.w0))
@@ -190,15 +155,15 @@ def check_deadbeat_two_step(seed, count):
     return CheckResult(name=name, passed=worst <= 1e-9, measured=worst,
                        tolerance=1e-9,
                        detail=f"max scaled |x(k)| and |u+w|(k) for k >= 2 over "
-                              f"{count} plants")
+                              f"{len(plants)} plants")
 
 
-def check_deadbeat_cost_match(seed, count):
+def check_deadbeat_cost_match(plants):
     name = "criterion_02_deadbeat_cost_closed_form"
-    if count == 0:
+    if not plants:
         return _skipped(name)
     worst = 0.0
-    for p, _ in _plants(seed, count):
+    for p, _ in plants:
         k = synthesis.deadbeat(p)
         report = evaluation.simulate_cost(p, k)
         closed = evaluation.deadbeat_cost_closed_form(p)
@@ -206,7 +171,7 @@ def check_deadbeat_cost_match(seed, count):
     return CheckResult(name=name, passed=worst <= 1e-9, measured=worst,
                        tolerance=1e-9,
                        detail=f"max |simulated - closed| / (1 + closed) over "
-                              f"{count} plants")
+                              f"{len(plants)} plants")
 
 
 def check_dare_explicit_oracle():
@@ -230,26 +195,26 @@ def check_dare_explicit_oracle():
                               f"controller vs closed form {worst_k:.3e}")
 
 
-def check_lower_bound_order(seed, count):
+def check_lower_bound_order(costs):
     name = "criterion_04a_lower_bound_order"
-    if count == 0:
+    if not costs:
         return _skipped(name)
     worst = -np.inf
-    for p, optimal in _optimal_costs(seed, count):
+    for p, optimal in costs:
         worst = max(worst, evaluation.centralized_lower_bound(p) - optimal)
     return CheckResult(name=name, passed=worst <= 1e-8, measured=worst,
                        tolerance=1e-8,
                        detail=f"max lower-bound excess over the optimal-design "
-                              f"cost across {count} plants")
+                              f"cost across {len(costs)} plants")
 
 
-def check_optimal_vs_deadbeat(seed, count):
+def check_optimal_vs_deadbeat(costs):
     name = "criterion_04b_optimal_vs_deadbeat_order"
-    if count == 0:
+    if not costs:
         return _skipped(name)
     worst = -np.inf
     violations = 0
-    for p, optimal in _optimal_costs(seed, count):
+    for p, optimal in costs:
         deadbeat_cost = evaluation.simulate_cost(p, synthesis.deadbeat(p)).total
         gap = optimal - deadbeat_cost
         worst = max(worst, gap)
@@ -258,7 +223,7 @@ def check_optimal_vs_deadbeat(seed, count):
     return CheckResult(name=name, passed=worst <= 1e-8, measured=worst,
                        tolerance=1e-8,
                        detail=f"max J(optimal design) - J(deadbeat) over "
-                              f"{count} plants; {violations} plants exceed the "
+                              f"{len(costs)} plants; {violations} plants exceed the "
                               f"slack. The optimal design's first input is "
                               f"pinned by its zero controller state before any "
                               f"disturbance information arrives, so with "
@@ -476,30 +441,27 @@ def run_acceptance(seed=0, scale=1.0):
     """Run every acceptance check; scale multiplies the ensemble sizes.
 
     At scale 0 the ensemble checks are skipped (reported as such); the
-    fixed-input checks still run. Checks that quote the same ensemble
-    share it for the length of this call (see the module docstring).
+    fixed-input checks still run. Each shared ensemble is drawn once, handed
+    to its two checks and dropped before the next is drawn.
     """
-    global _memo
     c_big = round(200 * scale)
     c_mid = round(100 * scale)
     c_small = round(50 * scale)
-    _memo = {}
-    try:
-        return [
-            check_deadbeat_two_step(seed + 1000, c_big),
-            check_deadbeat_cost_match(seed + 1000, c_big),
-            check_dare_explicit_oracle(),
-            check_lower_bound_order(seed + 2000, c_big),
-            check_optimal_vs_deadbeat(seed + 2000, c_big),
-            check_ratio_bound_ensemble(seed + 3000, c_big),
-            check_sweep_attainment(),
-            check_family_cost_formula(),
-            check_sink_domination(seed + 4000, c_big),
-            check_cross_coupling_match(seed + 4001, max(0, c_mid // 2)),
-            check_no_sink_identity(seed + 4002, max(0, c_mid // 2)),
-            check_limited_information(seed + 5000, c_small),
-            check_sparsity_boundedness(seed + 6000, c_mid),
-            check_design_condition_exhaustive(),
-        ]
-    finally:
-        _memo = None
+    plants = _sampled_plants(seed + 1000, c_big)
+    results = [check_deadbeat_two_step(plants), check_deadbeat_cost_match(plants)]
+    del plants
+    results.append(check_dare_explicit_oracle())
+    costs = _optimal_costs(seed + 2000, c_big)
+    results += [check_lower_bound_order(costs), check_optimal_vs_deadbeat(costs)]
+    del costs
+    return results + [
+        check_ratio_bound_ensemble(seed + 3000, c_big),
+        check_sweep_attainment(),
+        check_family_cost_formula(),
+        check_sink_domination(seed + 4000, c_big),
+        check_cross_coupling_match(seed + 4001, max(0, c_mid // 2)),
+        check_no_sink_identity(seed + 4002, max(0, c_mid // 2)),
+        check_limited_information(seed + 5000, c_small),
+        check_sparsity_boundedness(seed + 6000, c_mid),
+        check_design_condition_exhaustive(),
+    ]

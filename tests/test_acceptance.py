@@ -6,8 +6,8 @@ noise, and each unit-test module pins the smallest plant that shows them.
 The CLI `limoctrl verify` command runs the same checks and exits nonzero
 while these stay red.
 
-The last tests check that the work run_acceptance shares between checks
-changes no result, and that nothing is kept between calls.
+The last test checks that the ensembles run_acceptance hands to two checks
+each change no result.
 """
 
 import pytest
@@ -16,10 +16,31 @@ import limoctrl as lc
 from limoctrl import ratio, riccati, synthesis, verify
 
 
+def _count_dare_calls(monkeypatch):
+    """Count solve_singular_dare calls at every name that binds it."""
+    calls = []
+    solve = riccati.solve_singular_dare
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for module in (riccati, ratio, synthesis):
+        monkeypatch.setattr(module, "solve_singular_dare", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
-def acceptance():
-    results = lc.run_acceptance(seed=0, scale=1.0)
-    return {r.name: r for r in results}
+def full_pass():
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_dare_calls(mp)
+        results = lc.run_acceptance(seed=0, scale=1.0)
+    return {r.name: r for r in results}, len(calls)
+
+
+@pytest.fixture(scope="module")
+def acceptance(full_pass):
+    return full_pass[0]
 
 
 def _assert_green(res):
@@ -31,6 +52,12 @@ def _assert_green(res):
 def test_suite_runs_every_check(acceptance):
     assert len(acceptance) == 14
     assert not any(r.skipped for r in acceptance.values())
+
+
+def test_full_pass_solves_656_riccati_equations(full_pass):
+    # 200 (04a and 04b together) + 400 (05) + 50 (07b) + 3 (03) + 2 (06a)
+    # + 1 (06b)
+    assert full_pass[1] == 656
 
 
 def test_criterion_01_deadbeat_two_step(acceptance):
@@ -110,17 +137,17 @@ def test_criterion_10_design_condition_exhaustive(acceptance):
 # ------------------------------------------------------------ shared work
 
 def _each_check_alone(seed, scale):
-    """Every check called on its own, with the arguments run_acceptance
-    gives it."""
+    """Every check called on its own, each shared ensemble drawn afresh for
+    each of its two checks."""
     c_big = round(200 * scale)
     c_mid = round(100 * scale)
     c_small = round(50 * scale)
     return [
-        verify.check_deadbeat_two_step(seed + 1000, c_big),
-        verify.check_deadbeat_cost_match(seed + 1000, c_big),
+        verify.check_deadbeat_two_step(verify._sampled_plants(seed + 1000, c_big)),
+        verify.check_deadbeat_cost_match(verify._sampled_plants(seed + 1000, c_big)),
         verify.check_dare_explicit_oracle(),
-        verify.check_lower_bound_order(seed + 2000, c_big),
-        verify.check_optimal_vs_deadbeat(seed + 2000, c_big),
+        verify.check_lower_bound_order(verify._optimal_costs(seed + 2000, c_big)),
+        verify.check_optimal_vs_deadbeat(verify._optimal_costs(seed + 2000, c_big)),
         verify.check_ratio_bound_ensemble(seed + 3000, c_big),
         verify.check_sweep_attainment(),
         verify.check_family_cost_formula(),
@@ -133,41 +160,13 @@ def _each_check_alone(seed, scale):
     ]
 
 
-@pytest.fixture
-def dare_calls(monkeypatch):
-    """Count solve_singular_dare calls at every name that binds it."""
-    calls = []
-    solve = riccati.solve_singular_dare
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    for module in (riccati, ratio, synthesis):
-        monkeypatch.setattr(module, "solve_singular_dare", counted)
-    return calls
-
-
-def test_shared_ensembles_change_no_result(dare_calls):
+def test_shared_ensembles_change_no_result(monkeypatch):
+    dare_calls = _count_dare_calls(monkeypatch)
     seed, scale = 3, 0.1
     alone = [r.as_dict() for r in _each_check_alone(seed, scale)]
     solves_alone = len(dare_calls)
-    per_run = []
-    for _ in range(2):
-        del dare_calls[:]
-        shared = [r.as_dict() for r in lc.run_acceptance(seed=seed, scale=scale)]
-        per_run.append(len(dare_calls))
-        assert shared == alone
-        assert verify._memo is None
+    del dare_calls[:]
+    shared = [r.as_dict() for r in lc.run_acceptance(seed=seed, scale=scale)]
+    assert shared == alone
     # criteria 04a and 04b solve their 200 * scale plants once between them
-    assert per_run == [solves_alone - round(200 * scale)] * 2
-
-
-def test_memo_is_dropped_when_a_check_raises(monkeypatch):
-    def broken(*args):
-        raise RuntimeError("broken check")
-
-    monkeypatch.setattr(verify, "check_optimal_vs_deadbeat", broken)
-    with pytest.raises(RuntimeError):
-        lc.run_acceptance(seed=0, scale=0.05)
-    assert verify._memo is None
+    assert len(dare_calls) == solves_alone - round(200 * scale)

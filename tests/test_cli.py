@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_synthesize_emits_controller_json(files, capsys, strategy):
     assert k.n == 2
     if strategy == "deadbeat":
         assert np.array_equal(k.D_K, lc.deadbeat(GOOD_PLANT).D_K)
-    built = STRATEGIES[strategy](GOOD_PLANT, GOOD_GRAPH)
+    built = STRATEGIES[strategy].build(GOOD_PLANT, GOOD_GRAPH)
     for name in ("A_K", "B_K", "C_K", "D_K"):
         assert np.array_equal(getattr(k, name), getattr(built, name))
 
@@ -258,6 +259,29 @@ def test_ratio_sweep_bad_grid_and_domain_errors(files, capsys):
     assert out.err.startswith("error: SameIndexError")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["ratio-sweep", "--r-grid", "nan"], "InvalidSpecError"),
+    (["ratio-sweep", "--r-grid", "1,inf"], "InvalidSpecError"),
+    (["ratio-sweep", "--eps-b", "nan"], "NonPositiveEpsilonError"),
+    (["ratio-sweep", "--eps-b", "inf"], "NonPositiveEpsilonError"),
+])
+def test_ratio_sweep_refuses_non_finite_parameters_at_once(capsys, argv, error):
+    # a NaN or infinite r or eps_b once ran the DARE for 100000 iterations
+    start = time.perf_counter()
+    rc = main(argv)
+    elapsed = time.perf_counter() - start
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert elapsed < 1.0
+
+
+def test_validate_refuses_non_finite_eps_b(files, capsys):
+    rc = main(["validate", "--plant", str(files["plant"]),
+               "--graph", str(files["graph"]), "--eps-b", "nan"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: NonPositiveEpsilonError")
+
+
 def test_verify_small_scale_reports_and_fails(files, capsys):
     rc = main(["verify", "--scale", "0.05"])
     out = capsys.readouterr()
@@ -282,7 +306,8 @@ def test_verify_scale_zero_skips_ensembles(files, capsys):
     assert rc == 1
     payloads = [json.loads(line) for line in out.out.strip().split("\n")]
     skipped = [item["name"] for item in payloads if item["skipped"]]
-    assert skipped
+    # every check but 03, 06a, 06b and 10 draws an ensemble, shared or not
+    assert len(skipped) == 10
     fixed = [item for item in payloads if not item["skipped"]]
     # fixed-input checks still run and the family-cost check still fails
     assert any(item["name"] == "criterion_06b_family_cost_formula"
@@ -368,13 +393,13 @@ def test_synthesize_output_matches_row_dumps(tmp_path):
         plant_path, graph_path = tmp_path / "plant.json", tmp_path / "graph.json"
         plant_path.write_text(json.dumps(lc.plant_to_dict(p)))
         graph_path.write_text(json.dumps(lc.graph_to_dict(g)))
-        for strategy, build in STRATEGIES.items():
+        for strategy, entry in STRATEGIES.items():
             out = tmp_path / f"{strategy}_{n}.json"
             rc = main(["synthesize", "--plant", str(plant_path),
                        "--graph", str(graph_path), "--strategy", strategy,
                        "--with-cost", "--out", str(out)])
             assert rc == 0
-            k = build(p, g)
+            k = entry.build(p, g)
             text = out.read_text()
             assert text == _written(_reference_write, k, lc.simulate_cost(p, k))
             negative_zeros += text.count("-0.0,") + text.count("-0.0]")

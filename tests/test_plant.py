@@ -79,8 +79,9 @@ def test_validate_flags_sparsity_and_gain_floor():
 def test_validate_errors_and_warning():
     g = lc.self_loops_only(1)
     p = scalar_plant(1.0, 1.0, 1.5)
-    with pytest.raises(lc.NonPositiveEpsilonError):
-        lc.validate(p, g, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(lc.NonPositiveEpsilonError):
+            lc.validate(p, g, bad)
     with pytest.raises(lc.DimensionMismatchError):
         lc.validate(p, lc.self_loops_only(2), 1.0)
     with pytest.warns(lc.DisturbanceGrowthWarning, match=r"poles \[1\]"):
@@ -180,8 +181,9 @@ def test_sample_ensemble_edge_cases():
     assert lc.sample_ensemble(lc.EnsembleSpec(n=1, plant_graph=g, count=0)) == []
     with pytest.raises(lc.InvalidSpecError):
         lc.sample_ensemble(lc.EnsembleSpec(n=1, plant_graph=g, count=-1))
-    with pytest.raises(lc.InvalidSpecError):
-        lc.sample_ensemble(lc.EnsembleSpec(n=1, plant_graph=g, eps_b=0.0))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(lc.InvalidSpecError):
+            lc.sample_ensemble(lc.EnsembleSpec(n=1, plant_graph=g, eps_b=bad))
     with pytest.raises(lc.InvalidSpecError):
         lc.sample_ensemble(lc.EnsembleSpec(n=2, plant_graph=g))
 
@@ -242,8 +244,12 @@ def test_worst_case_family_rejects_bad_parameters():
         lc.worst_case_family(2, 2, 1.0, 1.0)
     with pytest.raises(lc.ZeroParameterError):
         lc.worst_case_family(1, 2, 0.0, 1.0)
-    with pytest.raises(lc.NonPositiveEpsilonError):
-        lc.worst_case_family(1, 2, 1.0, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(lc.NonPositiveEpsilonError):
+            lc.worst_case_family(1, 2, 1.0, bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(lc.InvalidSpecError):
+            lc.worst_case_family(1, 2, bad, 1.0)
     with pytest.raises(lc.DimensionMismatchError):
         lc.worst_case_family(1, 5, 1.0, 1.0, n=3)
 

@@ -29,10 +29,9 @@ def test_ratio_bound_shape():
     assert values == sorted(values, reverse=True)
     # large gain floors push the bound down to 1
     assert lc.ratio_bound(1e6) - 1.0 < 2e-6
-    with pytest.raises(lc.NonPositiveEpsilonError):
-        lc.ratio_bound(0.0)
-    with pytest.raises(lc.NonPositiveEpsilonError):
-        lc.ratio_bound(-1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(lc.NonPositiveEpsilonError):
+            lc.ratio_bound(bad)
 
 
 def test_per_plant_ratio_conventions():
@@ -57,12 +56,14 @@ def test_per_plant_ratio_can_dip_below_one_with_nonzero_start():
 
 @pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_strategy_cost_agrees_with_simulating_the_built_controller(strategy):
+    entry = STRATEGIES[strategy]
     spec = lc.EnsembleSpec(n=3, plant_graph=SINK_CHAIN, seed=5, count=8)
     for p in lc.sample_ensemble(spec):
         assert lc.validate(p, SINK_CHAIN, spec.eps_b) == []
-        simulated = lc.simulate_cost(p, STRATEGIES[strategy](p, SINK_CHAIN)).total
-        assert math.isclose(strategy_cost(p, strategy, SINK_CHAIN), simulated,
-                            rel_tol=1e-9)
+        simulated = lc.simulate_cost(p, entry.build(p, SINK_CHAIN)).total
+        cost = entry.cost(p, SINK_CHAIN)
+        assert math.isclose(cost, simulated, rel_tol=1e-9)
+        assert strategy_cost(p, strategy, SINK_CHAIN) == cost
 
 
 def test_theta_ratio_is_one_on_pure_cross_coupling():
@@ -79,8 +80,12 @@ def test_worst_case_optimal_cost_reference_values():
                         13.090169943749475, rel_tol=1e-12)
     with pytest.raises(lc.ZeroParameterError):
         lc.worst_case_optimal_cost(1.0, 0.0)
-    with pytest.raises(lc.NonPositiveEpsilonError):
-        lc.worst_case_optimal_cost(0.0, 1.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(lc.NonPositiveEpsilonError):
+            lc.worst_case_optimal_cost(bad, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(lc.InvalidSpecError):
+            lc.worst_case_optimal_cost(1.0, bad)
 
 
 def test_ratio_sweep_reference_points():

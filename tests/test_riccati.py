@@ -4,6 +4,8 @@ The 2n-dim oracles build the augmented pair themselves with np.block, so
 they share no code with the n-dim solver.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,15 @@ def test_no_convergence_error_carries_state():
         lc.solve_singular_dare(p, max_iter=1)
     assert exc.value.iterations == 1
     assert exc.value.residual > 0.0
+
+
+def test_non_finite_step_stops_the_iteration_at_once():
+    p = lc.Plant(A=[[math.nan, 0.0], [1.0, 0.5]], b_diag=[1.0, 1.5],
+                 d_diag=[0.5, 0.25], x0=[1.0, 0.0], w0=[0.0, 1.0])
+    with pytest.raises(lc.NoConvergenceError) as exc:
+        lc.solve_singular_dare(lc.augment(p))
+    assert exc.value.iterations <= 3
+    assert not math.isfinite(exc.value.residual)
 
 
 def test_family_solution_matches_iteration():
