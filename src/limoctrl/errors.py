@@ -40,8 +40,9 @@ class NonPositiveWeightError(LimoctrlError):
 class InvalidSpecError(LimoctrlError):
     """A specification is malformed: an ensemble spec, an empty r grid, a
     non-finite r, a graph with isolated vertices, an unknown strategy or
-    theta without its graph, or a controller whose A_K or C_K is not
-    diagonal.
+    theta without its graph, a plant handed to augment with a NaN or
+    infinite entry of A, B or D, or a controller dict whose A_K or C_K has
+    a nonzero off-diagonal entry.
 
     A plant's sparsity and input-gain floor are not checked here: validate
     returns their breaches as violations."""

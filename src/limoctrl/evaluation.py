@@ -42,22 +42,23 @@ def closed_loop(p, k):
     # Filled by slices rather than np.block, whose per-call overhead is
     # several times the copying at n <= 5:
     #   [[A + B D_K, B, B C_K], [0, D, 0], [B_K, 0, A_K]]
-    b = p.b_diag[:, None]
     transition = np.zeros((3 * n, 3 * n))
-    transition[:n, :n] = p.A + b * k.D_K
-    transition[:n, 2 * n:] = b * k.C_K
+    transition[:n, :n] = p.A + p.b_diag[:, None] * k.D_K
     transition[2 * n:, :n] = k.B_K
-    transition[2 * n:, 2 * n:] = k.A_K
-    # B and D are the diagonals of the middle block column; a stride of
-    # 3n + 1 walks a diagonal of the row-major buffer
+    # B, D, B C_K and A_K are diagonals of their blocks; a stride of 3n + 1
+    # walks a diagonal of the row-major buffer
     flat = transition.reshape(-1)
     step = 3 * n + 1
     flat[n:n * step:step] = p.b_diag
+    flat[2 * n:2 * n + n * step:step] = p.b_diag * k.c_diag
     flat[n * step:2 * n * step:step] = p.d_diag
+    flat[2 * n * step::step] = k.a_diag
+    # [D_K, I, C_K], the last two blocks again by diagonal strides
     mix_map = np.zeros((n, 3 * n))
     mix_map[:, :n] = k.D_K
-    mix_map[:, n:2 * n] = np.eye(n)
-    mix_map[:, 2 * n:] = k.C_K
+    mix_flat = mix_map.reshape(-1)
+    mix_flat[n::step] = 1.0
+    mix_flat[2 * n::step] = k.c_diag
     return ClosedLoop(transition=transition, mix_map=mix_map, n=n)
 
 

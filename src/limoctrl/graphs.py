@@ -101,29 +101,27 @@ def graph_from_dict(d):
     return from_edge_list(size_from_dict(d), d["edges"])
 
 
+def _cross_edges(g):
+    """The adjacency as a bool mask with its self-loops cleared."""
+    cross = g.adj.astype(bool)
+    np.fill_diagonal(cross, False)
+    return cross
+
+
 def sinks(g):
     """Vertices with no outgoing edge to a different vertex.
 
     A self-loop does not disqualify a vertex from being a sink.
     """
-    out = set()
-    for i in range(g.n):
-        col = g.adj[:, i].copy()
-        col[i] = 0
-        if not col.any():
-            out.add(i + 1)
-    return out
+    has_out = _cross_edges(g).any(axis=0)
+    return {int(v) + 1 for v in np.flatnonzero(~has_out)}
 
 
 def isolated_nodes(g):
     """Vertices with no cross edge in either direction (self-loops ignored)."""
-    cross = g.adj.copy()
-    np.fill_diagonal(cross, 0)
-    out = set()
-    for i in range(g.n):
-        if not cross[:, i].any() and not cross[i, :].any():
-            out.add(i + 1)
-    return out
+    cross = _cross_edges(g)
+    touched = cross.any(axis=0) | cross.any(axis=1)
+    return {int(v) + 1 for v in np.flatnonzero(~touched)}
 
 
 def is_supergraph(g_big, g_small):

@@ -79,6 +79,31 @@ def require_nonzero_gains(p):
             f"input gain b[{i + 1}] is zero; the designs divide by b_ii")
 
 
+def _non_finite_entries(fields):
+    """Yield (where, message) for each NaN or infinite entry of the named
+    arrays, field by field in row-major order; where is the 1-based index."""
+    for field, values in fields:
+        finite = np.isfinite(values)
+        if finite.all():
+            continue
+        for idx in np.argwhere(~finite):
+            where = tuple(int(k) + 1 for k in idx)
+            yield where, (f"{field}{''.join(f'[{k}]' for k in where)} = "
+                          f"{float(values[tuple(idx)])!r} is not finite")
+
+
+def require_finite_model(p):
+    """Raise InvalidSpecError naming the first NaN or infinite entry of A,
+    B_diag or D_diag of p.
+
+    validate reports every such entry as a violation; this is the gate for
+    callers that solve without validating first.
+    """
+    for _, message in _non_finite_entries(
+            (("A", p.A), ("B_diag", p.b_diag), ("D_diag", p.d_diag))):
+        raise InvalidSpecError(message)
+
+
 def positive_finite(x):
     """True iff x is a positive finite number: False for NaN and +inf."""
     return 0 < x < math.inf
@@ -131,19 +156,10 @@ def validate(p, g_p, eps_b):
     if p.n != g_p.n:
         raise DimensionMismatchError(
             f"plant has {p.n} subsystems but graph has {g_p.n} vertices")
-    out = []
-    for field, values in (("A", p.A), ("B_diag", p.b_diag), ("D_diag", p.d_diag),
-                          ("x0", p.x0), ("w0", p.w0)):
-        finite = np.isfinite(values)
-        if finite.all():
-            continue
-        for idx in np.argwhere(~finite):
-            where = tuple(int(k) + 1 for k in idx)
-            out.append(Violation(
-                constraint="finite_entries",
-                where=where,
-                message=f"{field}{''.join(f'[{k}]' for k in where)} = "
-                        f"{float(values[tuple(idx)])!r} is not finite"))
+    out = [Violation(constraint="finite_entries", where=where, message=message)
+           for where, message in _non_finite_entries(
+               (("A", p.A), ("B_diag", p.b_diag), ("D_diag", p.d_diag),
+                ("x0", p.x0), ("w0", p.w0)))]
     off_mask = (p.A != 0) & (g_p.adj == 0)
     for i, j in np.argwhere(off_mask):
         out.append(Violation(

@@ -19,19 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError, SingularInnerMatrixError
-from .plant import require_nonzero_gains, worst_case_family
+from .plant import require_finite_model, require_nonzero_gains, worst_case_family
 
 _MACH_EPS = float(np.finfo(float).eps)
 
 
 def augment(p):
-    """The plant itself, once every input gain b_ii is checked nonzero.
+    """The plant itself, once every entry of A, B and D is checked finite
+    and every input gain b_ii nonzero.
 
+    A NaN or infinite entry raises InvalidSpecError naming the first one.
     With B invertible, (A, B) is controllable, and so is the augmented
     pair, whose PBH block row [0, lam I - D, I] has rank n at every lam. A
     zero gain raises ZeroGainError: the gains G2 B^-1 and every cost form
     downstream divide by b_ii.
     """
+    require_finite_model(p)
     require_nonzero_gains(p)
     return p
 

@@ -2,7 +2,10 @@
 
 All controllers here share the realization shape x_K(k+1) = A_K x_K + B_K x,
 u = C_K x_K + D_K x with x_K(0) = 0, one controller state per subsystem, and
-diagonal A_K and C_K so that subcontrollers share no state.
+diagonal A_K and C_K so that subcontrollers share no state. A Controller
+holds A_K and C_K as their diagonals a_diag and c_diag, so the type itself
+rules out shared state; only controller_from_dict, which reads full
+matrices, checks the off-diagonal entries.
 """
 from dataclasses import dataclass
 import math
@@ -30,32 +33,39 @@ from .riccati import augment, solve_singular_dare
 
 @dataclass(frozen=True, eq=False)
 class Controller:
-    A_K: np.ndarray
+    """A realization with diagonal A_K and C_K, kept as their diagonals
+    a_diag and c_diag, as Plant keeps B and D."""
+    a_diag: np.ndarray
     B_K: np.ndarray
-    C_K: np.ndarray
+    c_diag: np.ndarray
     D_K: np.ndarray
 
     def __post_init__(self):
-        mats = {}
-        for name in ("A_K", "B_K", "C_K", "D_K"):
+        a = np.array(self.a_diag, dtype=float)
+        if a.ndim != 1:
+            raise DimensionMismatchError("a_diag must be a vector")
+        n = a.size
+        a.setflags(write=False)
+        object.__setattr__(self, "a_diag", a)
+        for name, shape in (("B_K", (n, n)), ("c_diag", (n,)), ("D_K", (n, n))):
             m = np.array(getattr(self, name), dtype=float)
-            m.setflags(write=False)
-            mats[name] = m
-            object.__setattr__(self, name, m)
-        n = mats["D_K"].shape[0]
-        for name, m in mats.items():
-            if m.shape != (n, n):
+            if m.shape != shape:
                 raise DimensionMismatchError(
-                    f"{name} has shape {m.shape}, expected ({n},{n})")
-        for name in ("A_K", "C_K"):
-            m = mats[name]
-            if np.any(m[~np.eye(n, dtype=bool)] != 0):
-                raise InvalidSpecError(
-                    f"{name} must be diagonal; subcontrollers may not share state")
+                    f"{name} has shape {m.shape}, expected {shape}")
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
     @property
     def n(self):
-        return self.D_K.shape[0]
+        return self.a_diag.size
+
+    @property
+    def A_K(self):
+        return np.diag(self.a_diag)
+
+    @property
+    def C_K(self):
+        return np.diag(self.c_diag)
 
 
 def controller_to_dict(k):
@@ -63,11 +73,23 @@ def controller_to_dict(k):
             "C_K": k.C_K.tolist(), "D_K": k.D_K.tolist()}
 
 
+def _diagonal_of(d, name):
+    """The diagonal of the square matrix d[name]; a nonzero off-diagonal
+    entry is refused, since subcontrollers may not share state."""
+    m = np.array(d[name], dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(
+            f"{name} has shape {m.shape}, expected a square matrix")
+    # a NaN counts as nonzero, so it is refused off the diagonal too
+    if np.count_nonzero(m) > np.count_nonzero(m.diagonal()):
+        raise InvalidSpecError(
+            f"{name} must be diagonal; subcontrollers may not share state")
+    return m.diagonal()
+
+
 def controller_from_dict(d):
-    return Controller(A_K=np.array(d["A_K"], dtype=float),
-                      B_K=np.array(d["B_K"], dtype=float),
-                      C_K=np.array(d["C_K"], dtype=float),
-                      D_K=np.array(d["D_K"], dtype=float))
+    return Controller(a_diag=_diagonal_of(d, "A_K"), B_K=d["B_K"],
+                      c_diag=_diagonal_of(d, "C_K"), D_K=d["D_K"])
 
 
 def controller_from_gains(p, sol):
@@ -78,7 +100,7 @@ def controller_from_gains(p, sol):
     """
     d_k = sol.G2 / p.b_diag[None, :]
     b_k = sol.G1 + p.d_diag[:, None] * d_k - d_k @ p.A
-    return Controller(A_K=p.D, B_K=b_k, C_K=np.eye(p.n), D_K=d_k)
+    return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
 
 
 def centralized_optimal(p, sol=None):
@@ -103,7 +125,7 @@ def nilpotent_centralized(p):
     shrink = 1.0 / (1.0 + b * b)
     d_k = -(shrink * b)[:, None] * p.A - np.diag(d / b)
     b_k = (d * shrink / b)[:, None] * p.A - np.diag(d * d / b)
-    return Controller(A_K=p.D, B_K=b_k, C_K=np.eye(p.n), D_K=d_k)
+    return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
 
 
 def deadbeat(p):
@@ -114,7 +136,7 @@ def deadbeat(p):
     d = p.d_diag
     d_k = -(p.A + p.D) / b[:, None]
     b_k = np.diag(-(d * d) / b)
-    return Controller(A_K=p.D, B_K=b_k, C_K=np.eye(p.n), D_K=d_k)
+    return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
 
 
 def sink_gain(a_ii, b_ii):
@@ -156,7 +178,7 @@ def sink_aware(p, g_p):
     # to the deadbeat rows: (f-1)*a/b, not ((f-1)/b)*a
     d_k = ((f - 1.0)[:, None] * p.A) / b[:, None] - np.diag(d / b)
     b_k = ((d * f)[:, None] * p.A) / b[:, None] - np.diag(d * d / b)
-    return Controller(A_K=p.D, B_K=b_k, C_K=np.eye(p.n), D_K=d_k)
+    return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
 
 
 def _theta(p, g_p):
@@ -203,26 +225,28 @@ def strategy_builder(name):
 
 
 def transfer_eval(k, z):
-    """Evaluate C_K (z I - A_K)^-1 B_K + D_K at one complex point."""
+    """Evaluate C_K (z I - A_K)^-1 B_K + D_K at one complex point.
+
+    With A_K and C_K diagonal, row i is c_i / (z - a_i) times row i of B_K,
+    plus row i of D_K.
+    """
     z = complex(z)
-    modes = np.diag(k.A_K)
-    if np.any(z == modes):
+    if np.any(z == k.a_diag):
         raise SingularResolventError(f"z = {z} is a controller mode")
-    resolvent = np.linalg.solve(z * np.eye(k.n) - k.A_K.astype(complex), k.B_K)
-    return k.C_K @ resolvent + k.D_K
+    return (k.c_diag / (z - k.a_diag))[:, None] * k.B_K + k.D_K
 
 
 def sparsity_pattern(k):
     """Binary mask of transfer-function entries that are nonzero anywhere.
 
-    With A_K and C_K diagonal, entry (i, j) of C_K (z I - A_K)^-1 B_K + D_K
-    is C_K[i,i] B_K[i,j] / (z - A_K[i,i]) + D_K[i,j], which vanishes for
-    every z iff D_K[i,j] == 0 and C_K[i,i] B_K[i,j] == 0. The mask is read
+    Entry (i, j) of C_K (z I - A_K)^-1 B_K + D_K is
+    c_diag[i] B_K[i,j] / (z - a_diag[i]) + D_K[i,j], which vanishes for
+    every z iff D_K[i,j] == 0 and c_diag[i] B_K[i,j] == 0. The mask is read
     from those entries with no tolerance: a feedthrough entry of 1e-12 is
     reported as 1, where a numeric probe against a 1e-9 modulus threshold
     would report 0.
     """
-    through_state = (np.diag(k.C_K) != 0)[:, None] & (k.B_K != 0)
+    through_state = (k.c_diag != 0)[:, None] & (k.B_K != 0)
     return ((k.D_K != 0) | through_state).astype(np.int8)
 
 
@@ -301,7 +325,7 @@ def limited_info_check(strategy, p, g_p, row, pert, eps_b):
             continue
         if not (np.array_equal(base.B_K[j], perturbed.B_K[j])
                 and np.array_equal(base.D_K[j], perturbed.D_K[j])
-                and base.A_K[j, j] == perturbed.A_K[j, j]
-                and base.C_K[j, j] == perturbed.C_K[j, j]):
+                and base.a_diag[j] == perturbed.a_diag[j]
+                and base.c_diag[j] == perturbed.c_diag[j]):
             return False
     return True

@@ -185,8 +185,8 @@ def check_dare_explicit_oracle():
         worst_x = max(worst_x, float(np.max(np.abs(sol.X - explicit))))
         k_iter = synthesis.centralized_optimal(p, sol=sol)
         k_closed = synthesis.nilpotent_centralized(p)
-        for a, b in ((k_iter.A_K, k_closed.A_K), (k_iter.B_K, k_closed.B_K),
-                     (k_iter.C_K, k_closed.C_K), (k_iter.D_K, k_closed.D_K)):
+        for a, b in ((k_iter.a_diag, k_closed.a_diag), (k_iter.B_K, k_closed.B_K),
+                     (k_iter.c_diag, k_closed.c_diag), (k_iter.D_K, k_closed.D_K)):
             worst_k = max(worst_k, float(np.max(np.abs(a - b))))
     worst = max(worst_x, worst_k)
     return CheckResult(name=name, passed=worst <= 1e-8, measured=worst,
@@ -316,8 +316,8 @@ def check_cross_coupling_match(seed, count):
     for p, g in _sampled_plants(seed, count, mode="cross_only"):
         kt = synthesis.sink_aware(p, g)
         kc = synthesis.nilpotent_centralized(p)
-        for a, b in ((kt.A_K, kc.A_K), (kt.B_K, kc.B_K),
-                     (kt.C_K, kc.C_K), (kt.D_K, kc.D_K)):
+        for a, b in ((kt.a_diag, kc.a_diag), (kt.B_K, kc.B_K),
+                     (kt.c_diag, kc.c_diag), (kt.D_K, kc.D_K)):
             worst_match = max(worst_match, float(np.max(np.abs(a - b))))
         worst_ratio = max(worst_ratio, abs(ratio.per_plant_ratio(p, "theta", g) - 1.0))
     passed = worst_match <= 1e-8 and worst_ratio <= 1e-6
@@ -338,8 +338,8 @@ def check_no_sink_identity(seed, count):
         kt = synthesis.sink_aware(p, g)
         kd = synthesis.deadbeat(p)
         if not all(np.array_equal(a, b) for a, b in
-                   ((kt.A_K, kd.A_K), (kt.B_K, kd.B_K),
-                    (kt.C_K, kd.C_K), (kt.D_K, kd.D_K))):
+                   ((kt.a_diag, kd.a_diag), (kt.B_K, kd.B_K),
+                    (kt.c_diag, kd.c_diag), (kt.D_K, kd.D_K))):
             differing += 1
     return CheckResult(name=name, passed=differing == 0, measured=differing,
                        tolerance=0,

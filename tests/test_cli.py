@@ -1,5 +1,6 @@
 """Command-line entry points, exercised in process via main(argv)."""
 
+import hashlib
 import io
 import json
 import time
@@ -340,8 +341,8 @@ def _written(writer, k, cost=None):
 def _controller_around(m):
     """A controller whose B_K and D_K are m and whose A_K and C_K are the
     diagonal of m."""
-    diag = np.diag(np.diag(m))
-    return lc.Controller(A_K=diag, B_K=m, C_K=diag, D_K=m)
+    diag = np.diag(m)
+    return lc.Controller(a_diag=diag, B_K=m, c_diag=diag, D_K=m)
 
 
 _TINY = 5e-324                                  # smallest subnormal
@@ -405,6 +406,46 @@ def test_synthesize_output_matches_row_dumps(tmp_path):
             negative_zeros += text.count("-0.0,") + text.count("-0.0]")
     # the structured designs emit -0.0, which must keep its sign
     assert negative_zeros > 0
+
+
+# sha256 of `synthesize --strategy S` (no cost) on _sink_plant(n, seed=n).
+# Both designs are elementwise arithmetic on the plant data, so the bytes do
+# not depend on the BLAS build.
+_PINNED_SYNTHESIZE_SHA256 = {
+    ("deadbeat", 2): "2a9e133adb7d5ab7b7cab0885d7bc80a5936a6bc3ec2f924af9f5899c54100e7",
+    ("theta", 2): "45aafdfc9733e81aa7a3116acce67c9b8028a4b991dabfad23ace74bf2d5ad78",
+    ("deadbeat", 5): "0ecc3cb624bd152e6ffa9ab3cb4db331c1ff0afc79d48cad0a73fa4629eac327",
+    ("theta", 5): "ae5551c401392ccc3141c4428fd154f683eb459e572b12154b6fa3e83c2c3fc4",
+    ("deadbeat", 20): "43b17df6516d28a2d2d37dacc0bf7af5be4a636c8883f63ba0e3971ff0a288a4",
+    ("theta", 20): "c7fa97f488d5130fb912fa6a5ec1fa656f15583ca5eac74be9836a1dda929a2a",
+}
+
+
+def _synthesized(tmp_path, p, g, strategy):
+    """The bytes `synthesize --strategy strategy` writes for p on g."""
+    plant_path, graph_path = tmp_path / "plant.json", tmp_path / "graph.json"
+    plant_path.write_text(json.dumps(lc.plant_to_dict(p)))
+    graph_path.write_text(json.dumps(lc.graph_to_dict(g)))
+    out = tmp_path / "controller.json"
+    rc = main(["synthesize", "--plant", str(plant_path), "--graph", str(graph_path),
+               "--strategy", strategy, "--out", str(out)])
+    assert rc == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("strategy, n", list(_PINNED_SYNTHESIZE_SHA256))
+def test_synthesize_structured_bytes_are_pinned(tmp_path, strategy, n):
+    p, g = _sink_plant(n, seed=n)
+    digest = hashlib.sha256(_synthesized(tmp_path, p, g, strategy)).hexdigest()
+    assert digest == _PINNED_SYNTHESIZE_SHA256[strategy, n]
+
+
+def test_centralized_output_round_trips_through_controller_from_dict(tmp_path):
+    p, g = _sink_plant(5, seed=5)
+    k = lc.controller_from_dict(json.loads(_synthesized(tmp_path, p, g, "centralized")))
+    built = lc.centralized_optimal(p)
+    for name in ("a_diag", "B_K", "c_diag", "D_K"):
+        assert np.array_equal(getattr(k, name), getattr(built, name))
 
 
 def _outcome(argv, capsys):

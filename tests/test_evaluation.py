@@ -14,7 +14,7 @@ def scalar_plant(a, b, d, x0=0.0, w0=0.0):
 
 def zero_controller(n):
     z = np.zeros((n, n))
-    return lc.Controller(A_K=z, B_K=z, C_K=z, D_K=z)
+    return lc.Controller(a_diag=np.zeros(n), B_K=z, c_diag=np.zeros(n), D_K=z)
 
 
 # 2x2 plant whose optimal design pays more than deadbeat once x0 is nonzero
@@ -74,7 +74,10 @@ def test_closed_loop_matches_block_assembly(n):
     rng = np.random.default_rng(n)
     for _ in range(3 if n <= 5 else 1):
         p, g = _sink_plant(rng, n, 0.5 if n <= 5 else 0.05)
-        for k in (lc.centralized_optimal(p), lc.deadbeat(p), lc.sink_aware(p, g)):
+        # a hand-built controller whose c_diag is not all ones
+        general = lc.Controller(a_diag=rng.uniform(-1, 1, n), B_K=rng.standard_normal((n, n)),
+                                c_diag=rng.uniform(-2, 2, n), D_K=rng.standard_normal((n, n)))
+        for k in (lc.centralized_optimal(p), lc.deadbeat(p), lc.sink_aware(p, g), general):
             cl = lc.closed_loop(p, k)
             transition, mix_map = _block_closed_loop(p, k)
             assert np.array_equal(cl.transition, transition)

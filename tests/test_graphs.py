@@ -100,6 +100,18 @@ def test_isolated_nodes():
     assert lc.isolated_nodes(lc.self_loops_only(2)) == {1, 2}
 
 
+def test_sinks_and_isolated_nodes_match_edge_list_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        g = lc.from_adjacency((rng.random((n, n)) < rng.uniform(0.0, 0.4)).astype(int))
+        cross = [(frm, to) for frm, to in g.edges() if frm != to]
+        tails = {frm for frm, _ in cross}
+        touched = tails | {to for _, to in cross}
+        assert lc.sinks(g) == set(range(1, n + 1)) - tails
+        assert lc.isolated_nodes(g) == set(range(1, n + 1)) - touched
+
+
 def test_is_supergraph():
     small = lc.from_edge_list(3, [(1, 2), (2, 3)])
     assert lc.is_supergraph(lc.complete_graph(3), small)

@@ -5,6 +5,7 @@ they share no code with the n-dim solver.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,12 +160,41 @@ def test_no_convergence_error_carries_state():
 
 
 def test_non_finite_step_stops_the_iteration_at_once():
-    p = lc.Plant(A=[[math.nan, 0.0], [1.0, 0.5]], b_diag=[1.0, 1.5],
+    # every entry is finite, but the iterate overflows: P's second step
+    # is inf - inf
+    p = lc.Plant(A=[[1e200, 0.0], [1.0, 0.5]], b_diag=[1.0, 1.5],
                  d_diag=[0.5, 0.25], x0=[1.0, 0.0], w0=[0.0, 1.0])
-    with pytest.raises(lc.NoConvergenceError) as exc:
-        lc.solve_singular_dare(lc.augment(p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(lc.NoConvergenceError) as exc:
+            lc.solve_singular_dare(lc.augment(p))
     assert exc.value.iterations <= 3
     assert not math.isfinite(exc.value.residual)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, where", [("A", (1, 0)), ("b_diag", (1,)),
+                                          ("d_diag", (0,))])
+def test_non_finite_plant_is_refused_before_the_solve(field, where, value):
+    data = {"A": np.array([[1.0, 0.0], [2.0, 0.5]]), "b_diag": np.array([1.0, 1.5]),
+            "d_diag": np.array([0.5, 0.25])}
+    data[field][where] = value
+    p = lc.Plant(**data, x0=[1.0, 0.0], w0=[0.0, 1.0])
+    name = {"A": "A", "b_diag": "B_diag", "d_diag": "D_diag"}[field]
+    index = "".join(f"[{k + 1}]" for k in where)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(lc.InvalidSpecError) as exc:
+            lc.augment(p)
+        with pytest.raises(lc.InvalidSpecError):
+            lc.centralized_optimal(p)
+    assert str(exc.value) == f"{name}{index} = {value!r} is not finite"
+
+
+def test_first_non_finite_entry_is_named():
+    p = lc.Plant(A=[[1.0, math.inf], [math.nan, 0.5]], b_diag=[1.0, math.nan],
+                 d_diag=[0.5, 0.25], x0=[1.0, 0.0], w0=[0.0, 1.0])
+    with pytest.raises(lc.InvalidSpecError, match=r"^A\[1\]\[2\] = inf "):
+        lc.augment(p)
 
 
 def test_family_solution_matches_iteration():

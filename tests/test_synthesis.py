@@ -20,15 +20,44 @@ SINK_PLANT = lc.Plant(A=[[1.0, 0.0], [-2.0, 1.0]], b_diag=[1.0, 1.0],
 
 def test_controller_validation():
     eye = np.eye(2)
-    with pytest.raises(lc.InvalidSpecError, match="share state"):
-        lc.Controller(A_K=[[1.0, 0.5], [0.0, 1.0]], B_K=eye, C_K=eye, D_K=eye)
-    with pytest.raises(lc.InvalidSpecError):
-        lc.Controller(A_K=eye, B_K=eye, C_K=[[1.0, 0.0], [2.0, 1.0]], D_K=eye)
+    ones = np.ones(2)
     with pytest.raises(lc.DimensionMismatchError):
-        lc.Controller(A_K=np.eye(3), B_K=eye, C_K=eye, D_K=eye)
-    k = lc.Controller(A_K=eye, B_K=[[1.0, 2.0], [3.0, 4.0]], C_K=eye, D_K=eye)
+        lc.Controller(a_diag=np.ones(3), B_K=eye, c_diag=ones, D_K=eye)
+    with pytest.raises(lc.DimensionMismatchError):
+        lc.Controller(a_diag=eye, B_K=eye, c_diag=ones, D_K=eye)
+    with pytest.raises(lc.DimensionMismatchError):
+        lc.Controller(a_diag=ones, B_K=eye, c_diag=ones, D_K=np.ones(2))
+    k = lc.Controller(a_diag=[0.5, -0.25], B_K=[[1.0, 2.0], [3.0, 4.0]],
+                      c_diag=ones, D_K=eye)
     assert k.n == 2
     assert not k.D_K.flags.writeable
+    assert not k.a_diag.flags.writeable
+    assert np.array_equal(k.A_K, [[0.5, 0.0], [0.0, -0.25]])
+    assert np.array_equal(k.C_K, eye)
+
+
+def test_controller_from_dict_refuses_shared_state():
+    eye = np.eye(2).tolist()
+    with pytest.raises(lc.InvalidSpecError, match="share state"):
+        lc.controller_from_dict({"A_K": [[1.0, 0.5], [0.0, 1.0]], "B_K": eye,
+                                 "C_K": eye, "D_K": eye})
+    with pytest.raises(lc.InvalidSpecError, match="C_K"):
+        lc.controller_from_dict({"A_K": eye, "B_K": eye,
+                                 "C_K": [[1.0, 0.0], [2.0, 1.0]], "D_K": eye})
+    # a NaN off the diagonal is refused like any nonzero entry
+    with pytest.raises(lc.InvalidSpecError, match="share state"):
+        lc.controller_from_dict({"A_K": [[1.0, math.nan], [0.0, 1.0]],
+                                 "B_K": eye, "C_K": eye, "D_K": eye})
+    with pytest.raises(lc.DimensionMismatchError):
+        lc.controller_from_dict({"A_K": np.eye(3).tolist(), "B_K": eye,
+                                 "C_K": eye, "D_K": eye})
+    with pytest.raises(lc.DimensionMismatchError):
+        lc.controller_from_dict({"A_K": [1.0, 1.0], "B_K": eye,
+                                 "C_K": eye, "D_K": eye})
+    k = lc.controller_from_dict({"A_K": [[0.5, -0.0], [0.0, 2.0]], "B_K": eye,
+                                 "C_K": [[1.0, 0.0], [0.0, 0.0]], "D_K": eye})
+    assert np.array_equal(k.a_diag, [0.5, 2.0])
+    assert np.array_equal(k.c_diag, [1.0, 0.0])
 
 
 def test_controller_dict_round_trip():
@@ -184,6 +213,29 @@ def test_transfer_eval_matches_row_formula():
                 assert abs(val[i, j] - direct) <= 1e-12
 
 
+def test_transfer_eval_matches_dense_oracle():
+    """The row-scaled closed form against a dense solve with the diagonal
+    A_K and C_K expanded, on random controllers whose c_diag is not the
+    identity's and has zeros."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 8):
+        a = rng.uniform(-1.0, 1.0, n)
+        c = rng.uniform(-2.0, 2.0, n)
+        c[1::3] = 0.0
+        k = lc.Controller(a_diag=a, B_K=rng.standard_normal((n, n)), c_diag=c,
+                          D_K=rng.standard_normal((n, n)))
+        for _ in range(20):
+            z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            want = np.diag(c) @ np.linalg.solve(
+                z * np.eye(n) - np.diag(a), k.B_K) + k.D_K
+            got = lc.transfer_eval(k, z)
+            assert np.allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+        for mode in a:
+            with pytest.raises(lc.SingularResolventError):
+                lc.transfer_eval(k, mode)
+
+
 def test_sparsity_pattern_tracks_couplings():
     g = lc.from_edge_list(2, [(1, 1), (2, 2), (1, 2)])
     p = lc.Plant(A=[[1.0, 0.0], [2.0, 1.0]], b_diag=[1.0, 1.0],
@@ -226,12 +278,12 @@ def test_sparsity_pattern_reads_structure_exactly():
     row that silences its B_K row, and a feedthrough entry of 1e-12, which
     a probe with a 1e-9 modulus threshold reads as 0 and the exact read
     reports as 1."""
-    modes = np.diag([0.5, -0.25])
-    through_state = lc.Controller(A_K=modes, B_K=[[0.0, 2.0], [0.0, 0.0]],
-                                  C_K=np.eye(2), D_K=np.zeros((2, 2)))
-    silenced = lc.Controller(A_K=modes, B_K=[[0.0, 0.0], [3.0, -1.0]],
-                             C_K=np.diag([1.0, 0.0]), D_K=[[1.0, 0.0], [0.0, 0.0]])
-    tiny = lc.Controller(A_K=modes, B_K=np.zeros((2, 2)), C_K=np.eye(2),
+    modes = [0.5, -0.25]
+    through_state = lc.Controller(a_diag=modes, B_K=[[0.0, 2.0], [0.0, 0.0]],
+                                  c_diag=[1.0, 1.0], D_K=np.zeros((2, 2)))
+    silenced = lc.Controller(a_diag=modes, B_K=[[0.0, 0.0], [3.0, -1.0]],
+                             c_diag=[1.0, 0.0], D_K=[[1.0, 0.0], [0.0, 0.0]])
+    tiny = lc.Controller(a_diag=modes, B_K=np.zeros((2, 2)), c_diag=[1.0, 1.0],
                          D_K=[[0.0, 0.0], [1e-12, 0.0]])
     for k, want in ((through_state, [[0, 1], [0, 0]]),
                     (silenced, [[1, 0], [0, 0]]),
