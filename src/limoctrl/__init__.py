@@ -32,7 +32,6 @@ from .graphs import (
     from_edge_list,
     graph_from_dict,
     graph_to_dict,
-    is_supergraph,
     isolated_nodes,
     self_loops_only,
     sink_partition,
@@ -55,6 +54,7 @@ from .riccati import (
     augment,
     dare_residual,
     solve_singular_dare,
+    solve_singular_dares,
     worst_case_family_solution,
 )
 from .synthesis import (
@@ -90,10 +90,10 @@ from .ratio import (
     domination_check,
     ensemble_ratio_report,
     per_plant_ratio,
+    plant_ratios,
     ratio_bound,
     ratio_report_to_csv,
     ratio_sweep,
-    scalar_quadratic_bound,
     sink_aware_ratio_case,
     worst_case_optimal_cost,
 )

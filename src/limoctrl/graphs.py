@@ -124,14 +124,6 @@ def isolated_nodes(g):
     return {int(v) + 1 for v in np.flatnonzero(~touched)}
 
 
-def is_supergraph(g_big, g_small):
-    """True iff every edge of g_small is also an edge of g_big."""
-    if g_big.n != g_small.n:
-        raise DimensionMismatchError(
-            f"vertex counts differ: {g_big.n} vs {g_small.n}")
-    return bool(np.all(g_big.adj >= g_small.adj))
-
-
 @dataclass(frozen=True, eq=False)
 class SinkPartition:
     """Adjacency mask permuted so that sinks come last.

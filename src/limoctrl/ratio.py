@@ -26,7 +26,7 @@ from .graphs import isolated_nodes, sink_partition
 from .plant import positive_finite, sample_ensemble, worst_case_family
 # bound but unused here: perfbench's tracer tests read these two names
 from .riccati import augment, solve_singular_dare  # noqa: F401
-from .synthesis import STRATEGIES, strategy_builder, strategy_entry
+from .synthesis import centralized_costs, strategy_builder, strategy_entry
 
 _SLACK = 1e-9
 
@@ -69,19 +69,27 @@ class PlantRatio:
                 "J_centralized": self.J_centralized, "ratio": self.ratio}
 
 
-def _plant_ratio(p, strategy, g_p, plant_id=None, r_param=None):
-    """One PlantRatio, the centralized cost solved once for the plant."""
-    denominator = STRATEGIES["centralized"].cost(p, g_p)
-    numerator = denominator if strategy == "centralized" \
-        else strategy_cost(p, strategy, g_p)
-    return PlantRatio(plant_id=plant_id, J_strategy=numerator,
-                      J_centralized=denominator,
-                      ratio=_safe_ratio(numerator, denominator), r_param=r_param)
+def plant_ratios(pairs, strategy):
+    """(J(strategy), J(centralized design), ratio) of each (plant, graph)
+    pair, in order, 0/0 read as 1.
+
+    This is the one route to a ratio's denominator
+    (synthesis.centralized_costs, which solves plants of one size as
+    stacks). Each numerator is taken right after its own denominator, by
+    the strategy's cost route, which is passed the graph.
+    """
+    pairs = list(pairs)
+    out = []
+    for (p, g_p), denominator in zip(pairs, centralized_costs(p for p, _ in pairs)):
+        numerator = denominator if strategy == "centralized" \
+            else strategy_cost(p, strategy, g_p)
+        out.append((numerator, denominator, _safe_ratio(numerator, denominator)))
+    return out
 
 
 def per_plant_ratio(p, strategy, g_p=None):
     """J(strategy) / J(centralized design) for one plant, 0/0 read as 1."""
-    return _plant_ratio(p, strategy, g_p).ratio
+    return plant_ratios([(p, g_p)], strategy)[0][2]
 
 
 @dataclass(frozen=True)
@@ -119,8 +127,13 @@ def ratio_sweep(i, j, eps_b, r_grid, n=2):
     grid = list(r_grid)
     if not grid:
         raise InvalidSpecError("r grid must be nonempty")
-    entries = [_plant_ratio(worst_case_family(i, j, r, eps_b, n), "deadbeat",
-                            None, f"family_r_{r:g}", float(r)) for r in grid]
+    # point by point, each a lone solve: perfbench's tracer counts solves
+    # at solve_singular_dare, and a stacked grid would hide them from it
+    entries = []
+    for r in grid:
+        (costs,) = plant_ratios([(worst_case_family(i, j, r, eps_b, n), None)],
+                                "deadbeat")
+        entries.append(PlantRatio(f"family_r_{r:g}", *costs, r_param=float(r)))
     return RatioReport(per_plant=tuple(entries), sup_estimate=_sup(entries),
                        analytic_bound=ratio_bound(eps_b),
                        family_params={"i": i, "j": j, "eps_b": eps_b,
@@ -129,8 +142,9 @@ def ratio_sweep(i, j, eps_b, r_grid, n=2):
 
 def ensemble_ratio_report(spec, strategy):
     """Per-plant ratios over a sampled ensemble, with the sampled supremum."""
-    entries = [_plant_ratio(p, strategy, spec.plant_graph, f"sample_{idx}")
-               for idx, p in enumerate(sample_ensemble(spec))]
+    pairs = [(p, spec.plant_graph) for p in sample_ensemble(spec)]
+    entries = [PlantRatio(f"sample_{idx}", *costs)
+               for idx, costs in enumerate(plant_ratios(pairs, strategy))]
     return RatioReport(per_plant=tuple(entries), sup_estimate=_sup(entries),
                        analytic_bound=ratio_bound(spec.eps_b))
 
@@ -205,11 +219,6 @@ def domination_check(strategy_a, strategy_b, spec):
     return DominationReport(strategy_a=strategy_a, strategy_b=strategy_b,
                             pairs=tuple(pairs), a_never_worse=never_worse,
                             a_strictly_better_somewhere=strictly_better)
-
-
-def scalar_quadratic_bound(a, b):
-    """Minimum over x of x^2 + (a + b x)^2, namely a^2 / (1 + b^2)."""
-    return a * a / (1.0 + b * b)
 
 
 def sink_aware_ratio_case(g_p, eps_b):

@@ -28,7 +28,7 @@ from .evaluation import (
 )
 from .graphs import sinks
 from .plant import Plant, is_nilpotent_deg2, require_nonzero_gains, validate
-from .riccati import augment, solve_singular_dare
+from .riccati import augment, solve_singular_dare, solve_singular_dares
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +112,20 @@ def centralized_optimal(p, sol=None):
     if sol is None:
         sol = solve_singular_dare(augment(p))
     return controller_from_gains(p, sol)
+
+
+def centralized_costs(plants):
+    """Closed-form cost of the centralized design of each plant, yielded
+    in order.
+
+    This is the one route to that cost: the Riccati equations go through
+    solve_singular_dares, so plants of one size are solved as stacks, and
+    each cost is taken as its solution comes, so only floats outlive a
+    stack. A list of one plant is a lone solve_singular_dare.
+    """
+    plants = list(plants)
+    for p, sol in zip(plants, solve_singular_dares([augment(p) for p in plants])):
+        yield centralized_cost_closed_form(p, sol)
 
 
 def nilpotent_centralized(p):
@@ -200,8 +214,7 @@ class Strategy(NamedTuple):
 STRATEGIES = {
     "centralized": Strategy(
         build=lambda p, g_p: centralized_optimal(p),
-        cost=lambda p, g_p: centralized_cost_closed_form(
-            p, solve_singular_dare(augment(p)))),
+        cost=lambda p, g_p: next(centralized_costs([p]))),
     "deadbeat": Strategy(
         build=lambda p, g_p: deadbeat(p),
         cost=lambda p, g_p: deadbeat_cost_closed_form(p)),

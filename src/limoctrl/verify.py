@@ -130,12 +130,10 @@ def _sampled_plants(seed, count, eps_b=1.0, mode="any", n_lo=None):
 
 
 def _optimal_costs(seed, count):
-    """(plant, optimal-design cost) pairs of criteria 04a and 04b."""
-    out = []
-    for p, _ in _sampled_plants(seed, count):
-        sol = riccati.solve_singular_dare(riccati.augment(p))
-        out.append((p, evaluation.centralized_cost_closed_form(p, sol)))
-    return out
+    """(plant, optimal-design cost) pairs of criteria 04a and 04b, the
+    Riccati equations solved together, one stack per plant size."""
+    plants = [p for p, _ in _sampled_plants(seed, count)]
+    return list(zip(plants, synthesis.centralized_costs(plants)))
 
 
 # ------------------------------------------------------------------- checks
@@ -239,9 +237,8 @@ def check_ratio_bound_ensemble(seed, count):
     worst_excess = -np.inf
     sups = {}
     for eps_b, bound in ((1.0, RATIO_BOUND_1), (0.5, RATIO_BOUND_HALF)):
-        sup = 0.0
-        for p, _ in _sampled_plants(seed + int(eps_b * 10), count, eps_b=eps_b):
-            sup = max(sup, ratio.per_plant_ratio(p, "deadbeat"))
+        pairs = _sampled_plants(seed + int(eps_b * 10), count, eps_b=eps_b)
+        sup = max([0.0] + [r for _, _, r in ratio.plant_ratios(pairs, "deadbeat")])
         sups[eps_b] = sup
         worst_excess = max(worst_excess, sup - bound)
     return CheckResult(name=name, passed=worst_excess <= 1e-6,
@@ -313,13 +310,14 @@ def check_cross_coupling_match(seed, count):
         return _skipped(name)
     worst_match = 0.0
     worst_ratio = 0.0
-    for p, g in _sampled_plants(seed, count, mode="cross_only"):
+    pairs = _sampled_plants(seed, count, mode="cross_only")
+    for (p, g), (_, _, theta_ratio) in zip(pairs, ratio.plant_ratios(pairs, "theta")):
         kt = synthesis.sink_aware(p, g)
         kc = synthesis.nilpotent_centralized(p)
         for a, b in ((kt.a_diag, kc.a_diag), (kt.B_K, kc.B_K),
                      (kt.c_diag, kc.c_diag), (kt.D_K, kc.D_K)):
             worst_match = max(worst_match, float(np.max(np.abs(a - b))))
-        worst_ratio = max(worst_ratio, abs(ratio.per_plant_ratio(p, "theta", g) - 1.0))
+        worst_ratio = max(worst_ratio, abs(theta_ratio - 1.0))
     passed = worst_match <= 1e-8 and worst_ratio <= 1e-6
     return CheckResult(name=name, passed=passed, measured=worst_match,
                        tolerance=1e-8,

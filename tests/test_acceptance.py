@@ -13,29 +13,30 @@ each change no result.
 import pytest
 
 import limoctrl as lc
-from limoctrl import ratio, riccati, synthesis, verify
+from limoctrl import riccati, verify
 
 
-def _count_dare_calls(monkeypatch):
-    """Count solve_singular_dare calls at every name that binds it."""
-    calls = []
-    solve = riccati.solve_singular_dare
+def _count_solved_plants(monkeypatch):
+    """Record the size of each stack the Riccati layer iterates; a lone
+    solve and a stacked one both go through riccati._solve_group, so the
+    sum is the number of plants solved."""
+    stacks = []
+    solve_group = riccati._solve_group
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(plants, *args, **kwargs):
+        stacks.append(len(plants))
+        return solve_group(plants, *args, **kwargs)
 
-    for module in (riccati, ratio, synthesis):
-        monkeypatch.setattr(module, "solve_singular_dare", counted)
-    return calls
+    monkeypatch.setattr(riccati, "_solve_group", counted)
+    return stacks
 
 
 @pytest.fixture(scope="module")
 def full_pass():
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_dare_calls(mp)
+        stacks = _count_solved_plants(mp)
         results = lc.run_acceptance(seed=0, scale=1.0)
-    return {r.name: r for r in results}, len(calls)
+    return {r.name: r for r in results}, sum(stacks)
 
 
 @pytest.fixture(scope="module")
@@ -161,12 +162,12 @@ def _each_check_alone(seed, scale):
 
 
 def test_shared_ensembles_change_no_result(monkeypatch):
-    dare_calls = _count_dare_calls(monkeypatch)
+    stacks = _count_solved_plants(monkeypatch)
     seed, scale = 3, 0.1
     alone = [r.as_dict() for r in _each_check_alone(seed, scale)]
-    solves_alone = len(dare_calls)
-    del dare_calls[:]
+    solves_alone = sum(stacks)
+    del stacks[:]
     shared = [r.as_dict() for r in lc.run_acceptance(seed=seed, scale=scale)]
     assert shared == alone
     # criteria 04a and 04b solve their 200 * scale plants once between them
-    assert len(dare_calls) == solves_alone - round(200 * scale)
+    assert sum(stacks) == solves_alone - round(200 * scale)

@@ -112,15 +112,6 @@ def test_sinks_and_isolated_nodes_match_edge_list_oracle():
         assert lc.isolated_nodes(g) == set(range(1, n + 1)) - touched
 
 
-def test_is_supergraph():
-    small = lc.from_edge_list(3, [(1, 2), (2, 3)])
-    assert lc.is_supergraph(lc.complete_graph(3), small)
-    assert lc.is_supergraph(small, small)
-    assert not lc.is_supergraph(lc.self_loops_only(3), small)
-    with pytest.raises(lc.DimensionMismatchError):
-        lc.is_supergraph(lc.complete_graph(2), small)
-
-
 def test_sink_partition_orders_nonsinks_first():
     g = lc.from_edge_list(2, [(2, 1)])
     part = lc.sink_partition(g)
@@ -194,8 +185,6 @@ def test_supergraph_and_round_trip_properties(n, bits):
     mask = np.array(
         [[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)])
     g = lc.from_adjacency(mask)
-    assert lc.is_supergraph(lc.complete_graph(n), g)
-    assert lc.is_supergraph(g, g)
     assert lc.graph_from_dict(lc.graph_to_dict(g)).edges() == g.edges()
     part = lc.sink_partition(g)
     assert sorted(part.permutation) == list(range(1, n + 1))

@@ -1,6 +1,7 @@
 """Competitive-ratio experiments: bound, per-plant ratios, sweeps, domination."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,70 @@ def test_strategy_cost_agrees_with_simulating_the_built_controller(strategy):
         cost = entry.cost(p, SINK_CHAIN)
         assert math.isclose(cost, simulated, rel_tol=1e-9)
         assert strategy_cost(p, strategy, SINK_CHAIN) == cost
+
+
+def test_plant_ratios_match_the_lone_cost_routes():
+    # two plant sizes, interleaved, so the denominators are two stacks
+    g2 = lc.complete_graph(2)
+    threes = lc.sample_ensemble(lc.EnsembleSpec(n=3, plant_graph=SINK_CHAIN,
+                                                seed=5, count=4))
+    twos = lc.sample_ensemble(lc.EnsembleSpec(n=2, plant_graph=g2, seed=6,
+                                              count=4))
+    pairs = [pair for duo in zip([(p, SINK_CHAIN) for p in threes],
+                                 [(p, g2) for p in twos]) for pair in duo]
+    for strategy in STRATEGIES:
+        for (p, g), (num, den, ratio) in zip(pairs, lc.plant_ratios(pairs, strategy)):
+            lone = lc.centralized_cost_closed_form(
+                p, lc.solve_singular_dare(lc.augment(p)))
+            assert den == lone == strategy_cost(p, "centralized", g)
+            assert num == strategy_cost(p, strategy, g)
+            assert ratio == num / den
+
+
+def test_plant_ratios_take_each_numerator_after_its_own_denominator():
+    # the first plant's numerator fails (theta without a graph) before the
+    # second plant's denominator, solved in the same stack, would
+    good = lc.worst_case_family(1, 2, 3.0, 1.0, 2)
+    overflow = lc.Plant(A=[[1e200, 0.0], [1.0, 0.5]], b_diag=[1.0, 1.5],
+                        d_diag=[0.5, 0.25], x0=[1.0, 0.0], w0=[0.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(lc.InvalidSpecError, match="plant graph"):
+            lc.plant_ratios([(good, None), (overflow, None)], "theta")
+        with pytest.raises(lc.NoConvergenceError):
+            lc.plant_ratios([(good, None), (overflow, None)], "deadbeat")
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plant_ratios_memory_does_not_grow_with_the_list():
+    # one n = 80 solution holds about 0.3 MB, and n = 80 plants are solved
+    # one per stack; only floats outlive a stack, so ten more plants held
+    # would show as 3 MB
+    plants = [(lc.worst_case_family(1, 2, r, 1.0, 80), None)
+              for r in np.geomspace(1.0, 1e4, 12)]
+    two = _peak_bytes(lambda: lc.plant_ratios(plants[:2], "deadbeat"))
+    many = _peak_bytes(lambda: lc.plant_ratios(plants, "deadbeat"))
+    assert many < two + 0.1e6
+
+
+def test_ratio_sweep_solves_each_point_alone(monkeypatch):
+    lone = []
+    solve = lc.riccati.solve_singular_dare
+
+    def counted(p, *args):
+        lone.append(p.n)
+        return solve(p, *args)
+
+    monkeypatch.setattr(lc.riccati, "solve_singular_dare", counted)
+    lc.ratio_sweep(1, 2, 1.0, [1.0, 10.0, 100.0], n=5)
+    assert lone == [5, 5, 5]
 
 
 def test_theta_ratio_is_one_on_pure_cross_coupling():
@@ -165,17 +230,6 @@ def test_domination_coincides_without_sinks():
     report = lc.domination_check("theta", "deadbeat", spec)
     assert report.a_never_worse
     assert not report.a_strictly_better_somewhere
-
-
-def test_scalar_quadratic_bound():
-    assert lc.scalar_quadratic_bound(2.0, 1.0) == 2.0
-    assert lc.scalar_quadratic_bound(1.0, 0.0) == 1.0
-    rng = np.random.default_rng(2)
-    for a, b in zip(rng.uniform(-4, 4, 50), rng.uniform(-3, 3, 50)):
-        floor = lc.scalar_quadratic_bound(float(a), float(b))
-        xs = rng.uniform(-10, 10, 400)
-        sampled = np.min(xs ** 2 + (a + b * xs) ** 2)
-        assert floor <= sampled + 1e-12
 
 
 def test_sink_aware_ratio_case_labels():

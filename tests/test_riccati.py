@@ -171,6 +171,141 @@ def test_non_finite_step_stops_the_iteration_at_once():
     assert not math.isfinite(exc.value.residual)
 
 
+OVERFLOW_PLANT = lc.Plant(A=[[1e200, 0.0], [1.0, 0.5]], b_diag=[1.0, 1.5],
+                          d_diag=[0.5, 0.25], x0=[1.0, 0.0], w0=[0.0, 1.0])
+
+
+def _mixed_plants():
+    """Seeded ensemble plants at n = 1..5, some with A scaled by 10, and
+    family plants at n = 30 and 60, shuffled so that no size group is
+    contiguous. Three of the scaled plants (P up to about 370) stop by the
+    relative rule, at a step change of 1.6e-12 to 4.1e-12 > tol, after 10,
+    77 and 588 steps; the others stop below tol."""
+    plants = [p for n in range(1, 6) for p in random_plants(seed=200 + n, count=8, n=n)]
+    for n, picks in ((2, (0, 1, 2, 3)), (3, (0, 1, 2, 4))):
+        seeded = random_plants(seed=300 + n, count=6, n=n)
+        plants += [lc.Plant(A=10.0 * seeded[k].A, b_diag=seeded[k].b_diag,
+                            d_diag=seeded[k].d_diag, x0=seeded[k].x0,
+                            w0=seeded[k].w0) for k in picks]
+    plants += [lc.worst_case_family(1, 2, r, 1.0, n)
+               for n in (30, 60) for r in (1.0, 37.0, 1e5)]
+    order = np.random.default_rng(9).permutation(len(plants))
+    return [plants[k] for k in order]
+
+
+def _error_state(exc):
+    return type(exc), str(exc), exc.iterations, repr(exc.residual)
+
+
+def test_stacked_solves_match_lone_solves_bit_for_bit():
+    plants = _mixed_plants()
+    stacked = list(lc.solve_singular_dares(plants))
+    assert len(stacked) == len(plants)
+    for p, sol in zip(plants, stacked):
+        alone = lc.solve_singular_dare(p)
+        assert sol.X.shape == (2 * p.n, 2 * p.n)
+        assert np.array_equal(sol.X, alone.X)
+        assert np.array_equal(sol.G1, alone.G1)
+        assert np.array_equal(sol.G2, alone.G2)
+        assert sol.iterations == alone.iterations
+        assert sol.residual == alone.residual
+        if p.n <= 5:
+            # and both are the plain loop's, stopping step included
+            x, g1, g2, iterations = _reference_solve(p)
+            assert np.array_equal(sol.X, x) and sol.iterations == iterations
+            assert np.array_equal(sol.G1, g1) and np.array_equal(sol.G2, g2)
+    # the n = 4 group is one stack whose members stop at different steps
+    steps = {sol.iterations for p, sol in zip(plants, stacked) if p.n == 4}
+    assert len(steps) > 1
+
+
+def test_stacked_solves_keep_the_input_order():
+    plants = _mixed_plants()
+    forward = list(lc.solve_singular_dares(plants))
+    backward = list(lc.solve_singular_dares(plants[::-1]))
+    for a, b in zip(forward, backward[::-1]):
+        assert np.array_equal(a.X, b.X) and a.iterations == b.iterations
+    assert list(lc.solve_singular_dares([])) == []
+
+
+def test_overflowing_member_raises_its_lone_error():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(lc.NoConvergenceError) as alone:
+            lc.solve_singular_dare(OVERFLOW_PLANT)
+        plants = _mixed_plants()
+        plants.insert(len(plants) // 2, OVERFLOW_PLANT)
+        with pytest.raises(lc.NoConvergenceError) as stacked:
+            list(lc.solve_singular_dares(plants))
+        assert _error_state(stacked.value) == _error_state(alone.value)
+        # the first failure in input order is reported, whichever group
+        # it is in and whichever member fails first: the overflow stops at
+        # iteration 2, the n = 3 plant reaches max_iter = 3 later
+        slow = random_plants(seed=5, count=1, n=3)[0]
+        with pytest.raises(lc.NoConvergenceError) as exc:
+            lc.solve_singular_dare(slow, max_iter=3)
+        with pytest.raises(lc.NoConvergenceError) as first:
+            list(lc.solve_singular_dares([slow, OVERFLOW_PLANT], max_iter=3))
+        assert _error_state(first.value) == _error_state(exc.value)
+        with pytest.raises(lc.NoConvergenceError) as first:
+            list(lc.solve_singular_dares([OVERFLOW_PLANT, slow], max_iter=3))
+        assert _error_state(first.value) == _error_state(alone.value)
+
+
+def test_large_plants_are_split_into_bounded_stacks(monkeypatch):
+    # a stack holds at most 4096 // n^2 members: 4 at n = 30, 1 at n = 60
+    stacks = []
+    solve_group = lc.riccati._solve_group
+
+    def counted(plants, *args):
+        stacks.append((plants[0].n, len(plants)))
+        return solve_group(plants, *args)
+
+    monkeypatch.setattr(lc.riccati, "_solve_group", counted)
+    plants = [lc.worst_case_family(1, 2, r, 1.0, n)
+              for n in (30, 60) for r in (1.0, 3.0, 10.0, 37.0, 1e3, 1e5)]
+    sols = list(lc.solve_singular_dares(plants))
+    assert stacks == [(30, 4), (30, 2)] + [(60, 1)] * 6
+    for p, sol in zip(plants, sols):
+        assert np.array_equal(sol.X, lc.solve_singular_dare(p).X)
+
+
+def test_stacks_are_solved_as_their_first_member_comes(monkeypatch):
+    stacks = []
+    solve_group = lc.riccati._solve_group
+
+    def counted(plants, *args):
+        stacks.append((plants[0].n, len(plants)))
+        return solve_group(plants, *args)
+
+    monkeypatch.setattr(lc.riccati, "_solve_group", counted)
+    twos = random_plants(seed=11, count=3, n=2)
+    threes = random_plants(seed=12, count=2, n=3)
+    solutions = lc.solve_singular_dares([twos[0], threes[0], twos[1], threes[1],
+                                         twos[2]])
+    assert stacks == []
+    next(solutions)
+    assert stacks == [(2, 3)]
+    next(solutions)
+    assert stacks == [(2, 3), (3, 2)]
+    assert len(list(solutions)) == 3 and len(stacks) == 2
+    # no stack behind the first failure in input order is solved
+    del stacks[:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(lc.NoConvergenceError):
+            list(lc.solve_singular_dares([twos[0], OVERFLOW_PLANT, threes[0]]))
+    assert stacks == [(2, 2)]
+
+
+def test_max_iter_in_a_stack_raises_the_first_members_lone_error():
+    plants = _mixed_plants()
+    with pytest.raises(lc.NoConvergenceError) as alone:
+        lc.solve_singular_dare(plants[0], max_iter=1)
+    with pytest.raises(lc.NoConvergenceError) as stacked:
+        list(lc.solve_singular_dares(plants, max_iter=1))
+    assert _error_state(stacked.value) == _error_state(alone.value)
+    assert stacked.value.iterations == 1
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field, where", [("A", (1, 0)), ("b_diag", (1,)),
                                           ("d_diag", (0,))])
