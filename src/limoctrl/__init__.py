@@ -28,6 +28,7 @@ from .graphs import (
     SinkPartition,
     complete_graph,
     design_condition_applies,
+    design_conditions,
     from_adjacency,
     from_edge_list,
     graph_from_dict,
@@ -78,9 +79,13 @@ from .evaluation import (
     CostReport,
     centralized_cost_closed_form,
     centralized_lower_bound,
+    centralized_lower_bounds,
     closed_loop,
     deadbeat_cost_closed_form,
+    deadbeat_cost_closed_forms,
     simulate_cost,
+    simulate_costs,
+    simulate_trajectories,
     simulate_trajectory,
 )
 from .ratio import (

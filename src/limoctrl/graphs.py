@@ -4,6 +4,10 @@ controller synthesis and the ratio experiments.
 Orientation convention, fixed once: adj[i][j] = 1 means there is an edge
 from vertex j+1 to vertex i+1 (row = head, column = tail). All public
 indices are 1-based; the 0-based adjacency array is an internal detail.
+
+design_conditions is the stacked form of design_condition_applies: it
+searches the pairs whose plant graph has one size n as (m, n, n) masks and
+yields the results in input order; the lone search is it on a stack of one.
 """
 from dataclasses import dataclass
 import numbers
@@ -16,6 +20,7 @@ from .errors import (
     NonBinaryEntryError,
     NonSquareError,
 )
+from .stacks import in_stacks, only, split, stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +163,56 @@ def sink_partition(g):
                          sink_block=blocks[2])
 
 
+def _pair_error(g_p, g_c):
+    if g_p.n != g_c.n:
+        return DimensionMismatchError(
+            f"vertex counts differ: {g_p.n} vs {g_c.n}")
+    loops = g_c.adj.diagonal()
+    if not loops.all():
+        return MissingSelfLoopError(
+            f"design graph lacks the self-loop at vertex {int(np.argmin(loops)) + 1}")
+    return None
+
+
+def _condition_group(pairs):
+    """design_condition_applies of each (g_p, g_c) pair whose g_p has one
+    size n, or the error it raises alone, searched as (m, n, n) stacks."""
+    results, ok, pairs = split(pairs, lambda pair: _pair_error(*pair))
+    if not pairs:
+        return results
+    m, n = len(pairs), pairs[0][0].n
+    # Both masks are 0/1, so a > b means a = 1 and b = 0. edge[k, i, j] is
+    # the edge i+1 -> j+1 of member k's g_p.
+    edge = stack([g_p.adj for g_p, _ in pairs]).transpose(0, 2, 1)
+    out = edge > stack([g_c.adj for _, g_c in pairs])
+    into = edge.astype(bool)
+    vertices = np.arange(n)
+    into[:, vertices, vertices] = False
+    hits = (into & (out.sum(axis=2)[:, None, :] > out.transpose(0, 2, 1))).reshape(m, -1)
+    # the first hit of each member, or 0 for none: entry 0 is on the
+    # diagonal, which into has cleared
+    first = hits.argmax(axis=1)
+    for pos in ok:
+        results[pos] = (False, None)
+    found = np.flatnonzero(first)
+    if found.size:
+        i, j = np.divmod(first[found], n)
+        out[found, j, i] = False
+        l = out[found, j].argmax(axis=1)
+        for k, wi, wj, wl in zip(found.tolist(), i.tolist(), j.tolist(), l.tolist()):
+            results[ok[k]] = (True, (wi + 1, wj + 1, wl + 1))
+    return results
+
+
+def design_conditions(pairs):
+    """design_condition_applies of each (g_p, g_c) pair, yielded in input
+    order. Pairs whose g_p has one size are searched as one stack
+    (stacks.in_stacks); a pair's DimensionMismatchError or
+    MissingSelfLoopError is raised at its turn."""
+    return in_stacks(pairs, lambda pair: pair[0].n, _condition_group,
+                     lambda pair: design_condition_applies(*pair))
+
+
 def design_condition_applies(g_p, g_c):
     """Look for distinct vertices i, j, l with i -> j and j -> l in g_p while
     g_c lacks the edge l -> j.
@@ -174,23 +229,4 @@ def design_condition_applies(g_p, g_c):
     such pair and the smallest l != i in out[j] give the lexicographically
     first triple.
     """
-    if g_p.n != g_c.n:
-        raise DimensionMismatchError(
-            f"vertex counts differ: {g_p.n} vs {g_c.n}")
-    loops = g_c.adj.diagonal()
-    if not loops.all():
-        raise MissingSelfLoopError(
-            f"design graph lacks the self-loop at vertex {int(np.argmin(loops)) + 1}")
-    # Both masks are 0/1, so a > b means a = 1 and b = 0. edge[i, j] is
-    # the edge i+1 -> j+1 of g_p.
-    edge = g_p.adj.T
-    out = edge > g_c.adj
-    into = edge.astype(bool)
-    np.fill_diagonal(into, False)
-    hits = np.flatnonzero(into & (out.sum(axis=1) > out.T))
-    if not hits.size:
-        return False, None
-    i, j = divmod(int(hits[0]), g_p.n)
-    out[j, i] = False
-    l = int(np.argmax(out[j]))
-    return True, (i + 1, j + 1, l + 1)
+    return only(_condition_group([(g_p, g_c)]))

@@ -52,7 +52,7 @@ def _safe_ratio(numerator, denominator):
 
 def strategy_cost(p, strategy, g_p=None):
     """Cost of one strategy on one plant, by its table entry's cost route."""
-    return strategy_entry(strategy).cost(p, g_p)
+    return next(strategy_entry(strategy).cost([(p, g_p)]))
 
 
 @dataclass(frozen=True)
@@ -74,17 +74,19 @@ def plant_ratios(pairs, strategy):
     pair, in order, 0/0 read as 1.
 
     This is the one route to a ratio's denominator
-    (synthesis.centralized_costs, which solves plants of one size as
-    stacks). Each numerator is taken right after its own denominator, by
-    the strategy's cost route, which is passed the graph.
+    (synthesis.centralized_costs). The numerators come from the strategy's
+    cost route, which is passed the pairs; both streams evaluate plants of
+    one size as stacks and raise a plant's error at its turn, each
+    numerator right after its own denominator.
     """
     pairs = list(pairs)
-    out = []
-    for (p, g_p), denominator in zip(pairs, centralized_costs(p for p, _ in pairs)):
-        numerator = denominator if strategy == "centralized" \
-            else strategy_cost(p, strategy, g_p)
-        out.append((numerator, denominator, _safe_ratio(numerator, denominator)))
-    return out
+    denominators = centralized_costs(p for p, _ in pairs)
+    if strategy == "centralized":
+        costs = ((denominator, denominator) for denominator in denominators)
+    else:
+        costs = zip(denominators, strategy_entry(strategy).cost(pairs))
+    return [(numerator, denominator, _safe_ratio(numerator, denominator))
+            for denominator, numerator in costs]
 
 
 def per_plant_ratio(p, strategy, g_p=None):

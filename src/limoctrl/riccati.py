@@ -25,13 +25,9 @@ import numpy as np
 
 from .errors import NoConvergenceError, SingularInnerMatrixError
 from .plant import require_finite_model, require_nonzero_gains, worst_case_family
+from .stacks import in_stacks, only
 
 _MACH_EPS = float(np.finfo(float).eps)
-# Entries in one (m, n, n) array of a stack. A stack saves numpy's per-call
-# overhead, which dominates a step only at small n, while its working set
-# grows as m n^2: eight n = 60 plants in one stack raised the peak RSS of a
-# process by 6 MB. Larger same-size groups are solved in several stacks.
-_STACK_ENTRIES = 4096
 # |P'| <= |P| + |P' - P| entrywise, and the computed step change is within
 # a relative half ulp of |P' - P|; this factor covers both roundings
 _BOUND_GROWTH = 1.0 + 4.0 * _MACH_EPS
@@ -203,36 +199,20 @@ def solve_singular_dares(plants, tol=1e-12, max_iter=100000):
     DareSolution per plant, in input order.
 
     Plants of equal size n are iterated together as (m, n, n) stacks of at
-    most 4096 // n^2 members, each leaving its stack at the step a lone
-    solve would stop, so every solution, iteration count and residual is
-    bit for bit that of solving the plant alone. A stack is solved when
-    its first member's turn comes, and a failing plant raises, at its
-    turn, the NoConvergenceError it raises alone. So a caller that uses
-    each solution as it comes holds at most one stack's solutions, and no
-    stack behind the first failure in input order is solved.
+    most STACK_ENTRIES // n^2 members (stacks.in_stacks), each leaving its
+    stack at the step a lone solve would stop, so every solution,
+    iteration count and residual is bit for bit that of solving the plant
+    alone. A stack is solved when its first member's turn comes, and a
+    failing plant raises, at its turn, the NoConvergenceError it raises
+    alone. So a caller that uses each solution as it comes holds at most
+    one stack's solutions per plant size, and no stack behind the first
+    failure in input order is solved.
     """
-    plants = list(plants)
-    groups = {}
-    for pos, p in enumerate(plants):
-        groups.setdefault(p.n, []).append(pos)
-    ready = {}                   # position -> result of a solved stack
-    for pos, p in enumerate(plants):
-        if pos not in ready:
-            # pos heads the unsolved rest of its size group
-            group = groups[p.n]
-            stack = group[:max(1, _STACK_ENTRIES // (p.n * p.n))]
-            del group[:len(stack)]
-            if len(stack) == 1:
-                # by the module-level name, so that a wrapper bound to it
-                # sees every lone solve
-                yield solve_singular_dare(p, tol, max_iter)
-                continue
-            ready.update(zip(stack, _solve_group([plants[k] for k in stack],
-                                                 tol, max_iter)))
-        result = ready.pop(pos)
-        if isinstance(result, NoConvergenceError):
-            raise result
-        yield result
+    return in_stacks(plants, lambda p: p.n,
+                     lambda members: _solve_group(members, tol, max_iter),
+                     # by the module-level name, so that a wrapper bound to
+                     # it sees every lone solve
+                     lambda p: solve_singular_dare(p, tol, max_iter))
 
 
 def solve_singular_dare(p, tol=1e-12, max_iter=100000):
@@ -252,10 +232,7 @@ def solve_singular_dare(p, tol=1e-12, max_iter=100000):
     This is the stacked iteration of solve_singular_dares on a stack of
     one, so a plant solved alone and in a stack gives the same bits.
     """
-    result = _solve_group([p], tol, max_iter)[0]
-    if isinstance(result, NoConvergenceError):
-        raise result
-    return result
+    return only(_solve_group([p], tol, max_iter))
 
 
 def dare_residual(x, p):

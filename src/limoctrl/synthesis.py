@@ -17,18 +17,21 @@ from .errors import (
     DimensionMismatchError,
     InvalidPerturbationError,
     InvalidSpecError,
+    LimoctrlError,
     NotNilpotentError,
     SingularResolventError,
     ZeroGainError,
 )
 from .evaluation import (
     centralized_cost_closed_form,
-    deadbeat_cost_closed_form,
+    deadbeat_cost_closed_forms,
     simulate_cost,
+    simulate_costs,
 )
 from .graphs import sinks
 from .plant import Plant, is_nilpotent_deg2, require_nonzero_gains, validate
 from .riccati import augment, solve_singular_dare, solve_singular_dares
+from .stacks import in_stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +204,33 @@ def _theta(p, g_p):
     return sink_aware(p, g_p)
 
 
+def _theta_costs(pairs):
+    """The simulated cost of the sink-aware design of each (plant, graph)
+    pair, yielded in order.
+
+    Pairs of one plant size are built and stepped as one stack
+    (stacks.in_stacks, evaluation.simulate_costs), so only floats outlive
+    a stack; a build that raises raises at its turn.
+    """
+    def stack_costs(members):
+        errors, built = [], []
+        for p, g_p in members:
+            try:
+                built.append((p, _theta(p, g_p)))
+                errors.append(None)
+            except LimoctrlError as exc:
+                errors.append(exc)
+        totals = (report.total for report in simulate_costs(built))
+        return [error or next(totals) for error in errors]
+    return in_stacks(pairs, lambda pair: pair[0].n, stack_costs,
+                     lambda pair: simulate_cost(pair[0], _theta(*pair)).total)
+
+
 class Strategy(NamedTuple):
-    """A design's build(p, g_p) -> Controller and its cost(p, g_p), the
-    tightest route to J: a closed form where one exists, else simulating
-    the built controller."""
+    """A design's build(p, g_p) -> Controller and its cost(pairs), which
+    yields J of each (plant, graph) pair in order by the tightest route: a
+    closed form where one exists, else simulating the built controller.
+    Both routes evaluate plants of one size as stacks."""
     build: Callable
     cost: Callable
 
@@ -214,13 +240,13 @@ class Strategy(NamedTuple):
 STRATEGIES = {
     "centralized": Strategy(
         build=lambda p, g_p: centralized_optimal(p),
-        cost=lambda p, g_p: next(centralized_costs([p]))),
+        cost=lambda pairs: centralized_costs(p for p, _ in pairs)),
     "deadbeat": Strategy(
         build=lambda p, g_p: deadbeat(p),
-        cost=lambda p, g_p: deadbeat_cost_closed_form(p)),
+        cost=lambda pairs: deadbeat_cost_closed_forms(p for p, _ in pairs)),
     "theta": Strategy(
         build=_theta,
-        cost=lambda p, g_p: simulate_cost(p, _theta(p, g_p)).total),
+        cost=lambda pairs: _theta_costs(pairs)),
 }
 
 

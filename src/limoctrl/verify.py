@@ -143,9 +143,9 @@ def check_deadbeat_two_step(plants):
     if not plants:
         return _skipped(name)
     worst = 0.0
-    for p, _ in plants:
-        k = synthesis.deadbeat(p)
-        states, mix = evaluation.simulate_trajectory(p, k, steps=20)
+    pairs = [(p, synthesis.deadbeat(p)) for p, _ in plants]
+    for (p, _), (states, mix) in zip(
+            pairs, evaluation.simulate_trajectories(pairs, steps=20)):
         scale = 1.0 + float(np.linalg.norm(p.x0)) + float(np.linalg.norm(p.w0))
         late_x = np.abs(states[2:, :p.n]).max() if p.n else 0.0
         late_mix = np.abs(mix[2:]).max()
@@ -161,10 +161,9 @@ def check_deadbeat_cost_match(plants):
     if not plants:
         return _skipped(name)
     worst = 0.0
-    for p, _ in plants:
-        k = synthesis.deadbeat(p)
-        report = evaluation.simulate_cost(p, k)
-        closed = evaluation.deadbeat_cost_closed_form(p)
+    reports = evaluation.simulate_costs((p, synthesis.deadbeat(p)) for p, _ in plants)
+    closed_forms = evaluation.deadbeat_cost_closed_forms(p for p, _ in plants)
+    for report, closed in zip(reports, closed_forms):
         worst = max(worst, abs(report.total - closed) / (1.0 + closed))
     return CheckResult(name=name, passed=worst <= 1e-9, measured=worst,
                        tolerance=1e-9,
@@ -198,8 +197,9 @@ def check_lower_bound_order(costs):
     if not costs:
         return _skipped(name)
     worst = -np.inf
-    for p, optimal in costs:
-        worst = max(worst, evaluation.centralized_lower_bound(p) - optimal)
+    bounds = evaluation.centralized_lower_bounds(p for p, _ in costs)
+    for (_, optimal), bound in zip(costs, bounds):
+        worst = max(worst, bound - optimal)
     return CheckResult(name=name, passed=worst <= 1e-8, measured=worst,
                        tolerance=1e-8,
                        detail=f"max lower-bound excess over the optimal-design "
@@ -212,9 +212,9 @@ def check_optimal_vs_deadbeat(costs):
         return _skipped(name)
     worst = -np.inf
     violations = 0
-    for p, optimal in costs:
-        deadbeat_cost = evaluation.simulate_cost(p, synthesis.deadbeat(p)).total
-        gap = optimal - deadbeat_cost
+    reports = evaluation.simulate_costs((p, synthesis.deadbeat(p)) for p, _ in costs)
+    for (_, optimal), report in zip(costs, reports):
+        gap = optimal - report.total
         worst = max(worst, gap)
         if gap > 1e-8:
             violations += 1
@@ -285,10 +285,11 @@ def check_sink_domination(seed, count):
         return _skipped(name)
     worst_gap = -np.inf
     violations = 0
-    for p, g in _sampled_plants(seed, count, mode="sink"):
-        theta_cost = evaluation.simulate_cost(p, synthesis.sink_aware(p, g)).total
-        deadbeat_cost = evaluation.deadbeat_cost_closed_form(p)
-        gap = theta_cost - deadbeat_cost
+    pairs = _sampled_plants(seed, count, mode="sink")
+    reports = evaluation.simulate_costs((p, synthesis.sink_aware(p, g)) for p, g in pairs)
+    deadbeat_costs = evaluation.deadbeat_cost_closed_forms(p for p, _ in pairs)
+    for report, deadbeat_cost in zip(reports, deadbeat_costs):
+        gap = report.total - deadbeat_cost
         worst_gap = max(worst_gap, gap)
         if gap > 1e-9:
             violations += 1
@@ -420,15 +421,12 @@ def check_design_condition_exhaustive():
                 m[i, j] = 1
         masks.append(graphs.from_adjacency(m))
     edge_sets = [set(g.edges()) for g in masks]
-    disagreements = 0
-    cases = 0
-    for g_p, edges_p in zip(masks, edge_sets):
-        for g_c, edges_c in zip(masks, edge_sets):
-            cases += 1
-            got = graphs.design_condition_applies(g_p, g_c)
-            want = _oracle_on_edges(3, edges_p, edges_c)
-            if got != want:
-                disagreements += 1
+    pairs = [(g_p, g_c) for g_p in masks for g_c in masks]
+    wants = (_oracle_on_edges(3, edges_p, edges_c)
+             for edges_p in edge_sets for edges_c in edge_sets)
+    cases = len(pairs)
+    disagreements = sum(got != want for got, want
+                        in zip(graphs.design_conditions(pairs), wants))
     return CheckResult(name=name, passed=disagreements == 0,
                        measured=disagreements, tolerance=0,
                        detail=f"{cases} graph pairs compared against the "

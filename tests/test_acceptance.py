@@ -10,6 +10,9 @@ The last test checks that the ensembles run_acceptance hands to two checks
 each change no result.
 """
 
+import hashlib
+import json
+
 import pytest
 
 import limoctrl as lc
@@ -59,6 +62,15 @@ def test_full_pass_solves_656_riccati_equations(full_pass):
     # 200 (04a and 04b together) + 400 (05) + 50 (07b) + 3 (03) + 2 (06a)
     # + 1 (06b)
     assert full_pass[1] == 656
+
+
+# sha256 of the JSON lines `limoctrl verify --seed 0` writes at full scale
+_PINNED_VERIFY_SHA256 = "4410ec106684bccd66d56257db26727237d2fe2cc1d84c71e8d6fb2f01b3cba5"
+
+
+def test_full_pass_bytes_are_pinned(acceptance, pinned_blas):
+    text = "".join(json.dumps(r.as_dict()) + "\n" for r in acceptance.values())
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_VERIFY_SHA256
 
 
 def test_criterion_01_deadbeat_two_step(acceptance):

@@ -421,14 +421,27 @@ _PINNED_SYNTHESIZE_SHA256 = {
 }
 
 
-def _synthesized(tmp_path, p, g, strategy):
-    """The bytes `synthesize --strategy strategy` writes for p on g."""
+# sha256 of `synthesize --strategy S --with-cost` on _sink_plant(n, seed=n).
+# The simulated cost follows the BLAS kernels' summation order, so these are
+# checked only under the BLAS build they were recorded with (conftest.py).
+_PINNED_WITH_COST_SHA256 = {
+    ("deadbeat", 2): "a42451de6918d385c1f3f49ab7b8c2897fbd4ebadac1725958579bbeb48b31b7",
+    ("theta", 2): "69a343e9d04d519da431eb0998c3e77e41cd03bb7fdade9629294288a13917a3",
+    ("deadbeat", 5): "5cef1a34e2ecd8cfdb229dd73e2d866861e41d264d7b4824c6cf96666a6c600a",
+    ("theta", 5): "da971b4936c35afe9c36225e8906452c6d1b3d002b407415d51e9c5080008c7e",
+    ("deadbeat", 20): "58ed22bdf7657dac07211f7cfea55ad0e0d3083fe9a5789b41b12b04d6ef207b",
+    ("theta", 20): "185f5d9ca5e4cbf2c96df47ddf8d71b417366a648c9e597a52e8f23ea9527c70",
+}
+
+
+def _synthesized(tmp_path, p, g, strategy, *options):
+    """The bytes `synthesize --strategy strategy *options` writes for p on g."""
     plant_path, graph_path = tmp_path / "plant.json", tmp_path / "graph.json"
     plant_path.write_text(json.dumps(lc.plant_to_dict(p)))
     graph_path.write_text(json.dumps(lc.graph_to_dict(g)))
     out = tmp_path / "controller.json"
     rc = main(["synthesize", "--plant", str(plant_path), "--graph", str(graph_path),
-               "--strategy", strategy, "--out", str(out)])
+               "--strategy", strategy, "--out", str(out), *options])
     assert rc == 0
     return out.read_bytes()
 
@@ -438,6 +451,14 @@ def test_synthesize_structured_bytes_are_pinned(tmp_path, strategy, n):
     p, g = _sink_plant(n, seed=n)
     digest = hashlib.sha256(_synthesized(tmp_path, p, g, strategy)).hexdigest()
     assert digest == _PINNED_SYNTHESIZE_SHA256[strategy, n]
+
+
+@pytest.mark.parametrize("strategy, n", list(_PINNED_WITH_COST_SHA256))
+def test_synthesize_with_cost_bytes_are_pinned(tmp_path, pinned_blas, strategy, n):
+    p, g = _sink_plant(n, seed=n)
+    digest = hashlib.sha256(
+        _synthesized(tmp_path, p, g, strategy, "--with-cost")).hexdigest()
+    assert digest == _PINNED_WITH_COST_SHA256[strategy, n]
 
 
 def test_centralized_output_round_trips_through_controller_from_dict(tmp_path):

@@ -62,7 +62,7 @@ def test_strategy_cost_agrees_with_simulating_the_built_controller(strategy):
     for p in lc.sample_ensemble(spec):
         assert lc.validate(p, SINK_CHAIN, spec.eps_b) == []
         simulated = lc.simulate_cost(p, entry.build(p, SINK_CHAIN)).total
-        cost = entry.cost(p, SINK_CHAIN)
+        cost = next(entry.cost([(p, SINK_CHAIN)]))
         assert math.isclose(cost, simulated, rel_tol=1e-9)
         assert strategy_cost(p, strategy, SINK_CHAIN) == cost
 
