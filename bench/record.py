@@ -43,6 +43,21 @@ BENCH_costs.json, each row in seconds per plant or per graph pair:
   lone_design_condition_n200  design_condition_applies on the n = 200
       seed-1 ensemble plant graph against its symmetric closure, the
       ensemble_validate workload's design graph (no witness, a full scan)
+  lone_sample_n{5,20,50,200}  sample_ensemble of one plant on the graph of
+      the first seed-1 ensemble plant of size n
+  lone_sample_verify_n{1..5}  sample_ensemble of one plant for each
+      (graph, eps_b, seed) that verify._sampled_plants(2000, 200) draws at
+      size n, with the plant count
+  stacked_sample_verify_n{1..5}  sample_plants on those same triples as one
+      call
+  lone_{deadbeat,sink_aware}_n{5,20,50,200}  the design built on the first
+      seed-1 ensemble plant of size n
+  lone_{deadbeat,sink_aware}_verify_n{1..5}  the design built on each plant
+      of size n among verify._sampled_plants(2000, 200), sink graphs for
+      sink_aware (mode "sink", as criterion 07a draws them), with the plant
+      count
+  stacked_{deadbeat,sink_aware}_verify_n{1..5}  deadbeats or sink_awares
+      on those same plants as one call
 """
 import argparse
 import importlib.util
@@ -74,7 +89,13 @@ FILES = {
         + [f"lone_simulate_verify_n{n}" for n in VERIFY_SIZES]
         + [f"stacked_simulate_verify_n{n}" for n in VERIFY_SIZES]
         + ["lone_design_condition_c10", "stacked_design_condition_c10",
-           "lone_design_condition_n200"]),
+           "lone_design_condition_n200"]
+        + [f"{form}_{kind}{where}_n{n}"
+           for kind in ("sample", "deadbeat", "sink_aware")
+           for form, where, sizes in (("lone", "", ENSEMBLE_SIZES),
+                                      ("lone", "_verify", VERIFY_SIZES),
+                                      ("stacked", "_verify", VERIFY_SIZES))
+           for n in sizes]),
 }
 UNITS = {"BENCH_riccati.json": "s per plant",
          "BENCH_costs.json": "s per plant or graph pair"}
@@ -193,8 +214,55 @@ def _cost_cases(lc):
     return cases
 
 
+# verify._sampled_plants seeds plant k of an ensemble drawn from seed s with
+# s * 100003 + 17 * k + 1
+def _verify_seed(s, k):
+    return s * 100003 + 17 * k + 1
+
+
+def _construction_cases(lc):
+    """Row name -> (fn drawing or building the row's plants once, plant
+    count, info)."""
+    plant, synthesis = lc.plant, lc.synthesis
+    lone = {"sample": lambda g, eps_b, seed: plant.sample_ensemble(
+                plant.EnsembleSpec(n=g.n, plant_graph=g, eps_b=eps_b, seed=seed))[0],
+            "deadbeat": lambda p, g: synthesis.deadbeat(p),
+            "sink_aware": synthesis.sink_aware}
+    stacked = {"sample": getattr(plant, "sample_plants", None),
+               "deadbeat": getattr(synthesis, "deadbeats", None),
+               "sink_aware": getattr(synthesis, "sink_awares", None)}
+    inputs = {}          # (kind, where, n) -> argument tuples of lone[kind]
+    for n in ENSEMBLE_SIZES:
+        p, mask = _ensemble_plant(lc, n)
+        g = lc.graphs.from_adjacency(mask)
+        inputs["sample", "", n] = [(g, 1.0, 1)]
+        inputs["deadbeat", "", n] = inputs["sink_aware", "", n] = [(p, g)]
+    drawn = {mode: lc.verify._sampled_plants(2000, 200, mode=mode)
+             for mode in ("any", "sink")}
+    for n in VERIFY_SIZES:
+        inputs["sample", "_verify", n] = [
+            (g, 1.0, _verify_seed(2000, k))
+            for k, (_, g) in enumerate(drawn["any"]) if g.n == n]
+        inputs["deadbeat", "_verify", n] = [
+            pair for pair in drawn["any"] if pair[0].n == n]
+        inputs["sink_aware", "_verify", n] = [
+            pair for pair in drawn["sink"] if pair[0].n == n]
+    cases = {}
+    for (kind, where, n), args in inputs.items():
+        info = {"plants": len(args)}
+        cases[f"lone_{kind}{where}_n{n}"] = (
+            lambda f=lone[kind], args=args: [f(*a) for a in args],
+            len(args), info)
+        if where:
+            form = stacked[kind]
+            items = [a[0] for a in args] if kind == "deadbeat" else args
+            cases[f"stacked_{kind}{where}_n{n}"] = None if form is None else (
+                lambda f=form, items=items: list(f(items)), len(args), info)
+    return cases
+
+
 def _cases(lc):
-    return {**_riccati_cases(lc), **_cost_cases(lc)}
+    return {**_riccati_cases(lc), **_cost_cases(lc), **_construction_cases(lc)}
 
 
 def worker(trees, repeats):

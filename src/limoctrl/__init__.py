@@ -47,6 +47,7 @@ from .plant import (
     plant_from_dict,
     plant_to_dict,
     sample_ensemble,
+    sample_plants,
     validate,
     worst_case_family,
 )
@@ -67,9 +68,11 @@ from .synthesis import (
     controller_to_dict,
     coupling_cancellation_defect,
     deadbeat,
+    deadbeats,
     limited_info_check,
     nilpotent_centralized,
     sink_aware,
+    sink_awares,
     sink_gain,
     sparsity_pattern,
     transfer_eval,

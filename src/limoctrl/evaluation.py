@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroGainError
-from .plant import require_nonzero_gains
-from .stacks import in_stacks, only, split, stack
+from .errors import DimensionMismatchError
+from .plant import zero_gain_error
+from .stacks import diagonals, in_stacks, only, split, stack
 
 TOL_ABS = 1e-12
 QUIET_STEPS = 10
@@ -258,30 +258,17 @@ def _quadratic_forms(plants, m11, m12, m22):
     return np.vecdot(v, np.concatenate([top, bot], axis=1)).tolist()
 
 
-def _zero_gain(p):
-    try:
-        require_nonzero_gains(p)
-    except ZeroGainError as exc:
-        return exc
-    return None
-
-
 def _model_stacks(plants):
     """A, diag(D) and diag(1 / b^2) of plants of one size, as (m, n, n)
     stacks."""
     a = stack([p.A for p in plants])
     b = stack([p.b_diag for p in plants])
-    # diagonal matrices, filled by a stride of n + 1 as np.diag fills them
-    dm = np.zeros(a.shape)
-    bi2 = np.zeros(a.shape)
-    diagonal = (slice(None), slice(None, None, a.shape[1] + 1))
-    dm.reshape(len(plants), -1)[diagonal] = stack([p.d_diag for p in plants])
-    bi2.reshape(len(plants), -1)[diagonal] = 1.0 / (b * b)
-    return a, b, dm, bi2
+    dm = diagonals(stack([p.d_diag for p in plants]))
+    return a, b, dm, diagonals(1.0 / (b * b))
 
 
 def _deadbeat_group(plants):
-    results, ok, plants = split(plants, _zero_gain)
+    results, ok, plants = split(plants, zero_gain_error)
     if plants:
         a, _, dm, bi2 = _model_stacks(plants)
         eye = np.eye(plants[0].n)
@@ -311,7 +298,7 @@ def deadbeat_cost_closed_form(p):
 
 
 def _lower_bound_group(plants):
-    results, ok, plants = split(plants, _zero_gain)
+    results, ok, plants = split(plants, zero_gain_error)
     if plants:
         a, b, dm, bi2 = _model_stacks(plants)
         eye = np.eye(plants[0].n)

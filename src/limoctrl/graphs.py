@@ -20,7 +20,7 @@ from .errors import (
     NonBinaryEntryError,
     NonSquareError,
 )
-from .stacks import in_stacks, only, split, stack
+from .stacks import in_stacks, only, stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +46,13 @@ def from_adjacency(mask):
     m = np.asarray(mask)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise NonSquareError(f"adjacency mask must be square and nonempty, got shape {m.shape}")
-    bad = (m != 0) & (m != 1)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonBinaryEntryError(
-            f"adjacency entry ({i + 1},{j + 1}) is {m[i, j]!r}, expected 0 or 1")
+    # a bool mask is 0/1 by its type
+    if m.dtype != np.bool_:
+        bad = (m != 0) & (m != 1)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise NonBinaryEntryError(
+                f"adjacency entry ({i + 1},{j + 1}) is {m[i, j]!r}, expected 0 or 1")
     a = m.astype(np.int8)
     a.setflags(write=False)
     return DirectedGraph(n=int(a.shape[0]), adj=a)
@@ -106,11 +108,12 @@ def graph_from_dict(d):
     return from_edge_list(size_from_dict(d), d["edges"])
 
 
-def _cross_edges(g):
-    """The adjacency as a bool mask with its self-loops cleared."""
-    cross = g.adj.astype(bool)
-    np.fill_diagonal(cross, False)
-    return cross
+def sink_masks(graphs):
+    """An (m, n) bool array whose row k marks the sinks of graphs[k], graphs
+    of one size n: column v of a sink's adjacency, its edges v -> i, holds
+    no edge but the self-loop."""
+    edge = stack([g.adj for g in graphs]) != 0
+    return edge.sum(axis=1) == edge.diagonal(axis1=1, axis2=2)
 
 
 def sinks(g):
@@ -118,13 +121,13 @@ def sinks(g):
 
     A self-loop does not disqualify a vertex from being a sink.
     """
-    has_out = _cross_edges(g).any(axis=0)
-    return {int(v) + 1 for v in np.flatnonzero(~has_out)}
+    return {int(v) + 1 for v in np.flatnonzero(sink_masks([g])[0])}
 
 
 def isolated_nodes(g):
     """Vertices with no cross edge in either direction (self-loops ignored)."""
-    cross = _cross_edges(g)
+    cross = g.adj.astype(bool)
+    np.fill_diagonal(cross, False)
     touched = cross.any(axis=0) | cross.any(axis=1)
     return {int(v) + 1 for v in np.flatnonzero(~touched)}
 
@@ -176,15 +179,31 @@ def _pair_error(g_p, g_c):
 
 def _condition_group(pairs):
     """design_condition_applies of each (g_p, g_c) pair whose g_p has one
-    size n, or the error it raises alone, searched as (m, n, n) stacks."""
-    results, ok, pairs = split(pairs, lambda pair: _pair_error(*pair))
-    if not pairs:
+    size n, or the error it raises alone, searched as (m, n, n) stacks.
+
+    Vertex counts and self-loops are checked for the whole stack at once;
+    _pair_error builds the message of each member that fails."""
+    n = pairs[0][0].n
+    results = [None] * len(pairs)
+    sized = [pos for pos, (_, g_c) in enumerate(pairs) if g_c.n == n]
+    design = (stack([pairs[pos][1].adj for pos in sized]) if sized
+              else np.zeros((0, n, n), dtype=np.int8))
+    looped = design.diagonal(axis1=1, axis2=2).all(axis=1)
+    ok = [pos for pos, loops in zip(sized, looped.tolist()) if loops]
+    if len(ok) < len(pairs):
+        kept = set(ok)
+        for pos, pair in enumerate(pairs):
+            if pos not in kept:
+                results[pos] = _pair_error(*pair)
+        design = design[looped]
+    if not ok:
         return results
-    m, n = len(pairs), pairs[0][0].n
+    pairs = [pairs[pos] for pos in ok]
+    m = len(pairs)
     # Both masks are 0/1, so a > b means a = 1 and b = 0. edge[k, i, j] is
     # the edge i+1 -> j+1 of member k's g_p.
     edge = stack([g_p.adj for g_p, _ in pairs]).transpose(0, 2, 1)
-    out = edge > stack([g_c.adj for _, g_c in pairs])
+    out = edge > design
     into = edge.astype(bool)
     vertices = np.arange(n)
     into[:, vertices, vertices] = False

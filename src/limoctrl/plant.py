@@ -23,6 +23,7 @@ from .errors import (
     ZeroParameterError,
 )
 from .graphs import DirectedGraph, size_from_dict
+from .stacks import handed_over, in_stacks, split, stack
 
 
 def _frozen(a, shape):
@@ -66,17 +67,26 @@ class Plant:
         return np.diag(self.d_diag)
 
 
-def require_nonzero_gains(p):
-    """Raise ZeroGainError if some input gain b_ii of p is exactly zero.
+def zero_gain_error(p):
+    """The ZeroGainError naming the first input gain b_ii of p that is
+    exactly zero, or None if there is none.
 
     Every design and cost form divides by b_ii. The check is exact, not
     against a floor: validate owns the floor, and a gain below it but
     nonzero still gives finite numbers.
     """
-    if not p.b_diag.all():
-        i = int(np.flatnonzero(p.b_diag == 0.0)[0])
-        raise ZeroGainError(
-            f"input gain b[{i + 1}] is zero; the designs divide by b_ii")
+    if p.b_diag.all():
+        return None
+    i = int(np.flatnonzero(p.b_diag == 0.0)[0])
+    return ZeroGainError(
+        f"input gain b[{i + 1}] is zero; the designs divide by b_ii")
+
+
+def require_nonzero_gains(p):
+    """Raise zero_gain_error(p), if p has a zero input gain."""
+    error = zero_gain_error(p)
+    if error:
+        raise error
 
 
 def _non_finite_entries(fields):
@@ -215,12 +225,18 @@ class EnsembleSpec:
     count: int = 1
 
 
+def _eps_b_error(eps_b):
+    if positive_finite(eps_b):
+        return None
+    return InvalidSpecError(f"eps_b must be positive and finite, got {eps_b}")
+
+
 def _check_spec(spec):
     if spec.count < 0:
         raise InvalidSpecError(f"count must be nonnegative, got {spec.count}")
-    if not positive_finite(spec.eps_b):
-        raise InvalidSpecError(
-            f"eps_b must be positive and finite, got {spec.eps_b}")
+    error = _eps_b_error(spec.eps_b)
+    if error:
+        raise error
     if spec.n != spec.plant_graph.n:
         raise InvalidSpecError(
             f"spec.n = {spec.n} but plant graph has {spec.plant_graph.n} vertices")
@@ -229,30 +245,77 @@ def _check_spec(spec):
 def sample_ensemble(spec):
     """Draw spec.count admissible plants, reproducibly.
 
-    Plant k draws, in this order, from the default numpy generator (PCG64)
-    seeded with spec.seed + k: A uniform on [-2, 2) times the plant graph's
-    mask; |b_ii| = eps_b + uniform [0, 2), with sign - or + at even odds;
-    d_ii uniform on [-1, 1); x0 and w0 standard normal. Each plant has its
-    own substream, so any single plant can be regenerated without drawing
-    its predecessors.
+    Plant k draws from the default numpy generator (PCG64) seeded with
+    spec.seed + k, and from nothing else, so any single plant can be
+    regenerated without drawing its predecessors. Its stream is read as two
+    draws, n^2 + 3n consecutive doubles u on [0, 1) and then 2n standard
+    normals:
+      - A = (-2 + 4 u) on the first n^2, row-major, times the plant
+        graph's mask: uniform on [-2, 2) on the graph's edges;
+      - |b_ii| = eps_b + 2 u on the next n;
+      - b_ii is negative where the next n are below 0.5;
+      - d_ii = -1 + 2 u on the last n;
+      - x0 is the first n normals, w0 the last n.
+    lo + (hi - lo) u is numpy's uniform(lo, hi) on the same double, so these
+    are the bits of the separate uniform, random and standard_normal calls
+    in that order. The plants are sample_plants of (graph, eps_b, seed + k).
     """
     _check_spec(spec)
-    mask = spec.plant_graph.adj
-    plants = []
-    for k in range(spec.count):
-        rng = np.random.default_rng(spec.seed + k)
-        a = rng.uniform(-2.0, 2.0, size=(spec.n, spec.n)) * mask
-        magnitude = spec.eps_b + rng.uniform(0.0, 2.0, size=spec.n)
-        sign = np.where(rng.random(spec.n) < 0.5, -1.0, 1.0)
-        d = rng.uniform(-1.0, 1.0, size=spec.n)
-        plants.append(Plant(
-            A=a,
-            b_diag=sign * magnitude,
-            d_diag=d,
-            x0=rng.standard_normal(spec.n),
-            w0=rng.standard_normal(spec.n),
-        ))
-    return plants
+    return list(sample_plants((spec.plant_graph, spec.eps_b, spec.seed + k)
+                              for k in range(spec.count)))
+
+
+def _plant_stack(draws):
+    """The plant of each (plant_graph, eps_b, seed) triple whose graphs have
+    one size n and whose eps_b passes _eps_b_error, drawn as one stack: one
+    generator and two draws per plant, every map once."""
+    n = draws[0][0].n
+    nn = n * n
+    u = np.empty((len(draws), nn + 3 * n))
+    normal = np.empty((len(draws), 2 * n))
+    for k, (_, _, seed) in enumerate(draws):
+        # default_rng(seed) without its dispatch on the argument's type
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.random(out=u[k])
+        rng.standard_normal(out=normal[k])
+    # -2 + 4 u and then the mask, in place: a - 2 rounds as -2 + a does
+    a = 4.0 * u[:, :nn].reshape(-1, n, n)
+    a -= 2.0
+    a *= stack([g_p.adj for g_p, _, _ in draws])
+    magnitude = (np.array([eps_b for _, eps_b, _ in draws], dtype=float)[:, None]
+                 + 2.0 * u[:, nn:nn + n])
+    sign = np.where(u[:, nn + n:nn + 2 * n] < 0.5, -1.0, 1.0)
+    d = -1.0 + 2.0 * u[:, nn + 2 * n:]
+    b = sign * magnitude
+    for arrays in (a, b, d, normal):
+        arrays.setflags(write=False)
+    return [handed_over(Plant, A=a_k, b_diag=b_k, d_diag=d_k, x0=z_k[:n], w0=z_k[n:])
+            for a_k, b_k, d_k, z_k in zip(a, b, d, normal)]
+
+
+def _plant_group(draws):
+    results, ok, draws = split(draws, lambda draw: _eps_b_error(draw[1]))
+    if draws:
+        for pos, p in zip(ok, _plant_stack(draws)):
+            results[pos] = p
+    return results
+
+
+def _sample_plant(draw):
+    error = _eps_b_error(draw[1])
+    if error:
+        raise error
+    return _plant_stack([draw])[0]
+
+
+def sample_plants(draws):
+    """The plant drawn for each (plant_graph, eps_b, seed) triple, yielded in
+    input order: item k is sample_ensemble of the spec (plant_graph.n,
+    plant_graph, eps_b, seed, count 1). Triples whose graphs have one size
+    are drawn as one stack (stacks.in_stacks), each plant the bits of its
+    lone draw; an eps_b that is not positive and finite raises
+    InvalidSpecError at its turn."""
+    return in_stacks(draws, lambda draw: draw[0].n, _plant_group, _sample_plant)
 
 
 def worst_case_family(i, j, r, eps_b, n=None):

@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidPerturbationError,
     InvalidSpecError,
-    LimoctrlError,
     NotNilpotentError,
     SingularResolventError,
     ZeroGainError,
@@ -28,10 +27,16 @@ from .evaluation import (
     simulate_cost,
     simulate_costs,
 )
-from .graphs import sinks
-from .plant import Plant, is_nilpotent_deg2, require_nonzero_gains, validate
+from .graphs import sink_masks
+from .plant import (
+    Plant,
+    is_nilpotent_deg2,
+    require_nonzero_gains,
+    validate,
+    zero_gain_error,
+)
 from .riccati import augment, solve_singular_dare, solve_singular_dares
-from .stacks import in_stacks
+from .stacks import diagonals, handed_over, in_stacks, split, stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,15 +150,50 @@ def nilpotent_centralized(p):
     return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
 
 
+def _controllers(plants, b_k, d_k):
+    """The structured controller of each plant from its B_K and D_K, taken
+    from two fresh (m, n, n) stacks: A_K is the plant's D and C_K is I."""
+    ones = np.ones(plants[0].n)
+    for arrays in (ones, b_k, d_k):
+        arrays.setflags(write=False)
+    return [handed_over(Controller, a_diag=p.d_diag, B_K=bk, c_diag=ones, D_K=dk)
+            for p, bk, dk in zip(plants, b_k, d_k)]
+
+
+def _deadbeat_stack(plants):
+    a = stack([p.A for p in plants])
+    b = stack([p.b_diag for p in plants])
+    d = stack([p.d_diag for p in plants])
+    # -(A + D) / b, each step in place on the one fresh stack
+    d_k = diagonals(d)
+    d_k += a
+    np.negative(d_k, out=d_k)
+    d_k /= b[:, :, None]
+    return _controllers(plants, diagonals(-(d * d) / b), d_k)
+
+
+def _deadbeat_group(plants):
+    results, ok, plants = split(plants, zero_gain_error)
+    if plants:
+        for pos, k in zip(ok, _deadbeat_stack(plants)):
+            results[pos] = k
+    return results
+
+
+def deadbeats(plants):
+    """deadbeat of each plant, yielded in input order; plants of one size
+    are built as one stack (stacks.in_stacks), each controller the bits of
+    its lone build. A plant with a zero input gain raises ZeroGainError at
+    its turn."""
+    return in_stacks(plants, lambda p: p.n, _deadbeat_group,
+                     lambda p: deadbeat(p))
+
+
 def deadbeat(p):
     """Two-step deadbeat design: cancel couplings and disturbance estimate,
     then hold u + w at zero. Row i uses only (row i of A, b_ii, d_ii)."""
     require_nonzero_gains(p)
-    b = p.b_diag
-    d = p.d_diag
-    d_k = -(p.A + p.D) / b[:, None]
-    b_k = np.diag(-(d * d) / b)
-    return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
+    return _deadbeat_stack([p])[0]
 
 
 def sink_gain(a_ii, b_ii):
@@ -171,37 +211,92 @@ def sink_gain(a_ii, b_ii):
     return 2.0 / (b2 + a2 + 1.0 + math.sqrt(disc))
 
 
+def _sink_aware_error(p, g_p):
+    if g_p is None:
+        return InvalidSpecError("the sink-aware design needs the plant graph")
+    if p.n != g_p.n:
+        return DimensionMismatchError(
+            f"plant has {p.n} subsystems but graph has {g_p.n} vertices")
+    return zero_gain_error(p)
+
+
+def _sink_stack(plants, sink):
+    """sink_aware of same-size plants; row k of the (m, n) bool array sink
+    marks the sinks of plant k's graph, at least one."""
+    a = stack([p.A for p in plants])
+    b = stack([p.b_diag for p in plants])
+    d = stack([p.d_diag for p in plants])
+    f = np.zeros(b.shape)
+    for k, v in zip(*(index.tolist() for index in np.nonzero(sink))):
+        f[k, v] = sink_gain(a[k, v, v], b[k, v])
+    # row-scaled division keeps the non-sink cancellation rows bitwise equal
+    # to the deadbeat rows: (f-1)*a/b, not ((f-1)/b)*a
+    d_k = _scaled_rows(f - 1.0, a, b, d / b)
+    b_k = _scaled_rows(d * f, a, b, d * d / b)
+    return _controllers(plants, b_k, d_k)
+
+
+def _scaled_rows(scale, a, b, values):
+    """(scale * A) / b - diag(values) for stacks of rows, each step in place
+    on one fresh stack: an entry minus 0.0 is that entry, signed zeros
+    included, so only the diagonals are subtracted."""
+    m, n = values.shape
+    out = scale[:, :, None] * a
+    out /= b[:, :, None]
+    out.reshape(m, -1)[:, ::n + 1] -= values
+    return out
+
+
+def _sink_aware_stack(pairs):
+    """sink_aware of same-size (plant, graph) pairs that pass
+    _sink_aware_error."""
+    sink = sink_masks([g_p for _, g_p in pairs])
+    tuned = sink.any(axis=1).tolist()
+    plants = [p for p, _ in pairs]
+    if all(tuned):
+        return _sink_stack(plants, sink)
+    if not any(tuned):
+        # with no sink the design is deadbeat, bit for bit
+        return _deadbeat_stack(plants)
+    # a mixed stack is built as its two uniform parts
+    built = [None] * len(plants)
+    for part in ([k for k, t in enumerate(tuned) if t],
+                 [k for k, t in enumerate(tuned) if not t]):
+        for k, controller in zip(part, _sink_aware_stack([pairs[k] for k in part])):
+            built[k] = controller
+    return built
+
+
+def _sink_aware_group(pairs):
+    results, ok, pairs = split(pairs, lambda pair: _sink_aware_error(*pair))
+    if pairs:
+        for pos, controller in zip(ok, _sink_aware_stack(pairs)):
+            results[pos] = controller
+    return results
+
+
+def sink_awares(pairs):
+    """sink_aware of each (plant, graph) pair, yielded in input order; pairs
+    of one plant size are built as one stack (stacks.in_stacks), each
+    controller the bits of its lone build. A missing graph, a graph of
+    another size or a zero input gain raises at its turn."""
+    return in_stacks(pairs, lambda pair: pair[0].n, _sink_aware_group,
+                     lambda pair: sink_aware(*pair))
+
+
 def sink_aware(p, g_p):
     """Deadbeat on every subsystem that feeds another, scalar-optimal gain on
     every sink of the plant graph.
 
     Sinks are read off the graph, not off numeric zeros in A: a sampled
     coupling that happens to be 0.0 does not make a subsystem a sink. With
-    no sinks at all the result is deadbeat(p), bit for bit.
+    no sinks at all the result is deadbeat(p), bit for bit. Without a graph
+    (g_p None) the design is refused with InvalidSpecError.
     """
-    if p.n != g_p.n:
-        raise DimensionMismatchError(
-            f"plant has {p.n} subsystems but graph has {g_p.n} vertices")
-    require_nonzero_gains(p)
-    sink_set = sinks(g_p)
-    if not sink_set:
-        return deadbeat(p)
-    b = p.b_diag
-    d = p.d_diag
-    f = np.zeros(p.n)
-    for v in sink_set:
-        f[v - 1] = sink_gain(p.A[v - 1, v - 1], b[v - 1])
-    # row-scaled division keeps the non-sink cancellation rows bitwise equal
-    # to the deadbeat rows: (f-1)*a/b, not ((f-1)/b)*a
-    d_k = ((f - 1.0)[:, None] * p.A) / b[:, None] - np.diag(d / b)
-    b_k = ((d * f)[:, None] * p.A) / b[:, None] - np.diag(d * d / b)
-    return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
-
-
-def _theta(p, g_p):
-    if g_p is None:
-        raise InvalidSpecError("the theta strategy needs the plant graph")
-    return sink_aware(p, g_p)
+    error = _sink_aware_error(p, g_p)
+    if error:
+        raise error
+    return _sink_aware_stack([(p, g_p)])[0]
 
 
 def _theta_costs(pairs):
@@ -209,21 +304,17 @@ def _theta_costs(pairs):
     pair, yielded in order.
 
     Pairs of one plant size are built and stepped as one stack
-    (stacks.in_stacks, evaluation.simulate_costs), so only floats outlive
-    a stack; a build that raises raises at its turn.
+    (stacks.in_stacks, _sink_aware_group, evaluation.simulate_costs), so
+    only floats outlive a stack; a build that raises raises at its turn.
     """
     def stack_costs(members):
-        errors, built = [], []
-        for p, g_p in members:
-            try:
-                built.append((p, _theta(p, g_p)))
-                errors.append(None)
-            except LimoctrlError as exc:
-                errors.append(exc)
-        totals = (report.total for report in simulate_costs(built))
-        return [error or next(totals) for error in errors]
+        built = _sink_aware_group(members)
+        totals = (report.total for report in simulate_costs(
+            [(p, k) for (p, _), k in zip(members, built)
+             if not isinstance(k, Exception)]))
+        return [k if isinstance(k, Exception) else next(totals) for k in built]
     return in_stacks(pairs, lambda pair: pair[0].n, stack_costs,
-                     lambda pair: simulate_cost(pair[0], _theta(*pair)).total)
+                     lambda pair: simulate_cost(pair[0], sink_aware(*pair)).total)
 
 
 class Strategy(NamedTuple):
@@ -245,7 +336,7 @@ STRATEGIES = {
         build=lambda p, g_p: deadbeat(p),
         cost=lambda pairs: deadbeat_cost_closed_forms(p for p, _ in pairs)),
     "theta": Strategy(
-        build=_theta,
+        build=lambda p, g_p: sink_aware(p, g_p),
         cost=lambda pairs: _theta_costs(pairs)),
 }
 
@@ -359,12 +450,10 @@ def limited_info_check(strategy, p, g_p, row, pert, eps_b):
     build = strategy_builder(strategy)
     base = build(p, g_p)
     perturbed = build(apply_row_perturbation(p, g_p, row, pert, eps_b), g_p)
-    for j in range(p.n):
-        if j == row - 1:
-            continue
-        if not (np.array_equal(base.B_K[j], perturbed.B_K[j])
-                and np.array_equal(base.D_K[j], perturbed.D_K[j])
-                and base.a_diag[j] == perturbed.a_diag[j]
-                and base.c_diag[j] == perturbed.c_diag[j]):
-            return False
-    return True
+    # row j is unchanged when every field compares equal on it (a NaN never
+    # does); the perturbed row itself is exempt
+    same = ((base.B_K == perturbed.B_K).all(axis=1)
+            & (base.D_K == perturbed.D_K).all(axis=1)
+            & (base.a_diag == perturbed.a_diag) & (base.c_diag == perturbed.c_diag))
+    same[row - 1] = True
+    return bool(same.all())

@@ -7,8 +7,8 @@ prints, so there is exactly one implementation of every check.
 Ensembles are drawn from (seed, count), so two checks that quote the same
 seed and count see the same plants. Two pairs of checks quote the same
 ensemble, and run_acceptance draws each once and hands it to both:
-criteria 01 and 02 take its (plant, graph) pairs, and 04a and 04b take its
-(plant, optimal-design cost) pairs.
+criteria 01 and 02 take its (plant, deadbeat controller) pairs, and 04a and
+04b take its (plant, optimal-design cost) pairs.
 """
 from dataclasses import dataclass
 import itertools
@@ -57,16 +57,14 @@ def _skipped(name):
 # ---------------------------------------------------------------- ensembles
 
 def _random_graph(rng, n):
-    return graphs.from_adjacency((rng.random((n, n)) < 0.5).astype(np.int8))
+    return graphs.from_adjacency(rng.random((n, n)) < 0.5)
 
 
 def _sink_graph(rng, n):
     """Random graph guaranteed to contain at least one sink."""
-    mask = (rng.random((n, n)) < 0.5).astype(np.int8)
+    mask = rng.random((n, n)) < 0.5
     v = int(rng.integers(n))
-    for i in range(n):
-        if i != v:
-            mask[i, v] = 0
+    mask[np.arange(n) != v, v] = 0
     if n > 1:
         u = int(rng.integers(n - 1))
         u = u if u < v else u + 1
@@ -76,7 +74,7 @@ def _sink_graph(rng, n):
 
 def _no_sink_graph(rng, n):
     """Random graph in which every vertex feeds some other vertex."""
-    mask = (rng.random((n, n)) < 0.4).astype(np.int8)
+    mask = rng.random((n, n)) < 0.4
     for i in range(n):
         cross = [j for j in range(n) if j != i and mask[j, i]]
         if not cross:
@@ -93,7 +91,7 @@ def _cross_only_graph(rng, n):
     order = rng.permutation(n)
     feeders = list(order[:n_src])
     receivers = list(order[n_src:])
-    mask = np.zeros((n, n), dtype=np.int8)
+    mask = np.zeros((n, n), dtype=bool)
     for s in feeders:
         targets = [t for t in receivers if rng.random() < 0.6]
         if not targets:
@@ -119,14 +117,17 @@ def _sampled_plants(seed, count, eps_b=1.0, mode="any", n_lo=None):
     build, mode_lo = _GRAPH_BUILDERS[mode]
     n_lo = mode_lo if n_lo is None else max(n_lo, mode_lo)
     rng = np.random.default_rng(seed)
-    out = []
-    for k in range(count):
-        n = int(rng.integers(n_lo, 6))
-        g = build(rng, n)
-        spec = plant.EnsembleSpec(n=n, plant_graph=g, eps_b=eps_b,
-                                  seed=seed * 100003 + 17 * k + 1, count=1)
-        out.append((plant.sample_ensemble(spec)[0], g))
-    return out
+    drawn = [build(rng, int(rng.integers(n_lo, 6))) for _ in range(count)]
+    plants = plant.sample_plants((g, eps_b, seed * 100003 + 17 * k + 1)
+                                 for k, g in enumerate(drawn))
+    return list(zip(plants, drawn))
+
+
+def _deadbeat_designs(seed, count):
+    """(plant, deadbeat controller) pairs of criteria 01 and 02, the
+    controllers built together, one stack per plant size."""
+    plants = [p for p, _ in _sampled_plants(seed, count)]
+    return list(zip(plants, synthesis.deadbeats(plants)))
 
 
 def _optimal_costs(seed, count):
@@ -138,14 +139,13 @@ def _optimal_costs(seed, count):
 
 # ------------------------------------------------------------------- checks
 
-def check_deadbeat_two_step(plants):
+def check_deadbeat_two_step(designs):
     name = "criterion_01_deadbeat_two_step"
-    if not plants:
+    if not designs:
         return _skipped(name)
     worst = 0.0
-    pairs = [(p, synthesis.deadbeat(p)) for p, _ in plants]
     for (p, _), (states, mix) in zip(
-            pairs, evaluation.simulate_trajectories(pairs, steps=20)):
+            designs, evaluation.simulate_trajectories(designs, steps=20)):
         scale = 1.0 + float(np.linalg.norm(p.x0)) + float(np.linalg.norm(p.w0))
         late_x = np.abs(states[2:, :p.n]).max() if p.n else 0.0
         late_mix = np.abs(mix[2:]).max()
@@ -153,22 +153,22 @@ def check_deadbeat_two_step(plants):
     return CheckResult(name=name, passed=worst <= 1e-9, measured=worst,
                        tolerance=1e-9,
                        detail=f"max scaled |x(k)| and |u+w|(k) for k >= 2 over "
-                              f"{len(plants)} plants")
+                              f"{len(designs)} plants")
 
 
-def check_deadbeat_cost_match(plants):
+def check_deadbeat_cost_match(designs):
     name = "criterion_02_deadbeat_cost_closed_form"
-    if not plants:
+    if not designs:
         return _skipped(name)
     worst = 0.0
-    reports = evaluation.simulate_costs((p, synthesis.deadbeat(p)) for p, _ in plants)
-    closed_forms = evaluation.deadbeat_cost_closed_forms(p for p, _ in plants)
+    reports = evaluation.simulate_costs(designs)
+    closed_forms = evaluation.deadbeat_cost_closed_forms(p for p, _ in designs)
     for report, closed in zip(reports, closed_forms):
         worst = max(worst, abs(report.total - closed) / (1.0 + closed))
     return CheckResult(name=name, passed=worst <= 1e-9, measured=worst,
                        tolerance=1e-9,
                        detail=f"max |simulated - closed| / (1 + closed) over "
-                              f"{len(plants)} plants")
+                              f"{len(designs)} plants")
 
 
 def check_dare_explicit_oracle():
@@ -212,7 +212,8 @@ def check_optimal_vs_deadbeat(costs):
         return _skipped(name)
     worst = -np.inf
     violations = 0
-    reports = evaluation.simulate_costs((p, synthesis.deadbeat(p)) for p, _ in costs)
+    plants = [p for p, _ in costs]
+    reports = evaluation.simulate_costs(zip(plants, synthesis.deadbeats(plants)))
     for (_, optimal), report in zip(costs, reports):
         gap = optimal - report.total
         worst = max(worst, gap)
@@ -286,7 +287,8 @@ def check_sink_domination(seed, count):
     worst_gap = -np.inf
     violations = 0
     pairs = _sampled_plants(seed, count, mode="sink")
-    reports = evaluation.simulate_costs((p, synthesis.sink_aware(p, g)) for p, g in pairs)
+    reports = evaluation.simulate_costs(
+        zip((p for p, _ in pairs), synthesis.sink_awares(pairs)))
     deadbeat_costs = evaluation.deadbeat_cost_closed_forms(p for p, _ in pairs)
     for report, deadbeat_cost in zip(reports, deadbeat_costs):
         gap = report.total - deadbeat_cost
@@ -312,8 +314,8 @@ def check_cross_coupling_match(seed, count):
     worst_match = 0.0
     worst_ratio = 0.0
     pairs = _sampled_plants(seed, count, mode="cross_only")
-    for (p, g), (_, _, theta_ratio) in zip(pairs, ratio.plant_ratios(pairs, "theta")):
-        kt = synthesis.sink_aware(p, g)
+    for (p, _), kt, (_, _, theta_ratio) in zip(
+            pairs, synthesis.sink_awares(pairs), ratio.plant_ratios(pairs, "theta")):
         kc = synthesis.nilpotent_centralized(p)
         for a, b in ((kt.a_diag, kc.a_diag), (kt.B_K, kc.B_K),
                      (kt.c_diag, kc.c_diag), (kt.D_K, kc.D_K)):
@@ -333,9 +335,9 @@ def check_no_sink_identity(seed, count):
     if count == 0:
         return _skipped(name)
     differing = 0
-    for p, g in _sampled_plants(seed, count, mode="no_sink"):
-        kt = synthesis.sink_aware(p, g)
-        kd = synthesis.deadbeat(p)
+    pairs = _sampled_plants(seed, count, mode="no_sink")
+    for kt, kd in zip(synthesis.sink_awares(pairs),
+                      synthesis.deadbeats(p for p, _ in pairs)):
         if not all(np.array_equal(a, b) for a, b in
                    ((kt.a_diag, kd.a_diag), (kt.B_K, kd.B_K),
                     (kt.c_diag, kd.c_diag), (kt.D_K, kd.D_K))):
@@ -381,11 +383,12 @@ def check_sparsity_boundedness(seed, count):
         return _skipped(name)
     off_mask = 0
     worst_cancel = 0.0
-    for p, g in _sampled_plants(seed, count):
+    pairs = _sampled_plants(seed, count)
+    for (p, g), kd, kt in zip(pairs, synthesis.deadbeats(p for p, _ in pairs),
+                              synthesis.sink_awares(pairs)):
         allowed = (g.adj | np.eye(p.n, dtype=np.int8)).astype(bool)
-        for k, rows in ((synthesis.deadbeat(p), None),
-                        (synthesis.sink_aware(p, g),
-                         sorted(set(range(1, p.n + 1)) - graphs.sinks(g)))):
+        for k, rows in ((kd, None),
+                        (kt, sorted(set(range(1, p.n + 1)) - graphs.sinks(g)))):
             off_mask += int(synthesis.sparsity_pattern(k)[~allowed].sum())
             if rows is not None and not rows:
                 continue
@@ -399,15 +402,21 @@ def check_sparsity_boundedness(seed, count):
                               f"{count} plants (exact zero required)")
 
 
-def _oracle_on_edges(n, edges_p, edges_c):
-    hits = [t for t in itertools.permutations(range(1, n + 1), 3)
-            if (t[0], t[1]) in edges_p and (t[1], t[2]) in edges_p
-            and (t[2], t[1]) not in edges_c]
+def _oracle_paths(g_p):
+    """Every path i -> j -> l of g_p through distinct vertices, in
+    lexicographic order, by a scan of all vertex triples."""
+    edges = set(g_p.edges())
+    return [t for t in itertools.permutations(range(1, g_p.n + 1), 3)
+            if (t[0], t[1]) in edges and (t[1], t[2]) in edges]
+
+
+def _oracle_on_paths(paths, edges_c):
+    hits = [t for t in paths if (t[2], t[1]) not in edges_c]
     return (True, min(hits)) if hits else (False, None)
 
 
 def _design_condition_oracle(g_p, g_c):
-    return _oracle_on_edges(g_p.n, set(g_p.edges()), set(g_c.edges()))
+    return _oracle_on_paths(_oracle_paths(g_p), set(g_c.edges()))
 
 
 def check_design_condition_exhaustive():
@@ -420,10 +429,11 @@ def check_design_condition_exhaustive():
             if bits >> b & 1:
                 m[i, j] = 1
         masks.append(graphs.from_adjacency(m))
+    paths = [_oracle_paths(g) for g in masks]
     edge_sets = [set(g.edges()) for g in masks]
     pairs = [(g_p, g_c) for g_p in masks for g_c in masks]
-    wants = (_oracle_on_edges(3, edges_p, edges_c)
-             for edges_p in edge_sets for edges_c in edge_sets)
+    wants = (_oracle_on_paths(paths_p, edges_c)
+             for paths_p in paths for edges_c in edge_sets)
     cases = len(pairs)
     disagreements = sum(got != want for got, want
                         in zip(graphs.design_conditions(pairs), wants))
@@ -443,9 +453,9 @@ def run_acceptance(seed=0, scale=1.0):
     c_big = round(200 * scale)
     c_mid = round(100 * scale)
     c_small = round(50 * scale)
-    plants = _sampled_plants(seed + 1000, c_big)
-    results = [check_deadbeat_two_step(plants), check_deadbeat_cost_match(plants)]
-    del plants
+    designs = _deadbeat_designs(seed + 1000, c_big)
+    results = [check_deadbeat_two_step(designs), check_deadbeat_cost_match(designs)]
+    del designs
     results.append(check_dare_explicit_oracle())
     costs = _optimal_costs(seed + 2000, c_big)
     results += [check_lower_bound_order(costs), check_optimal_vs_deadbeat(costs)]

@@ -156,8 +156,8 @@ def _each_check_alone(seed, scale):
     c_mid = round(100 * scale)
     c_small = round(50 * scale)
     return [
-        verify.check_deadbeat_two_step(verify._sampled_plants(seed + 1000, c_big)),
-        verify.check_deadbeat_cost_match(verify._sampled_plants(seed + 1000, c_big)),
+        verify.check_deadbeat_two_step(verify._deadbeat_designs(seed + 1000, c_big)),
+        verify.check_deadbeat_cost_match(verify._deadbeat_designs(seed + 1000, c_big)),
         verify.check_dare_explicit_oracle(),
         verify.check_lower_bound_order(verify._optimal_costs(seed + 2000, c_big)),
         verify.check_optimal_vs_deadbeat(verify._optimal_costs(seed + 2000, c_big)),

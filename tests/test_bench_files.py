@@ -10,6 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 VERIFY_SIZES = range(1, 6)
+# the ensemble draw and the two structured designs
+CONSTRUCTIONS = ("sample", "deadbeat", "sink_aware")
 ROWS = {
     "BENCH_riccati.json": (
         {f"lone_family_n{n}" for n in (2, 30, 60, 200)}
@@ -21,7 +23,10 @@ ROWS = {
         | {f"lone_simulate_verify_n{n}" for n in VERIFY_SIZES}
         | {f"stacked_simulate_verify_n{n}" for n in VERIFY_SIZES}
         | {"lone_design_condition_c10", "stacked_design_condition_c10",
-           "lone_design_condition_n200"}),
+           "lone_design_condition_n200"}
+        | {f"lone_{kind}_n{n}" for kind in CONSTRUCTIONS for n in (5, 20, 50, 200)}
+        | {f"{form}_{kind}_verify_n{n}" for form in ("lone", "stacked")
+           for kind in CONSTRUCTIONS for n in VERIFY_SIZES}),
 }
 
 
@@ -45,7 +50,10 @@ def test_riccati_bench_names_its_rows():
 
 @pytest.mark.parametrize("prefix, info", [("lone_simulate_", "steps"),
                                           ("stacked_simulate_", "plants"),
-                                          ("stacked_design_", "pairs")])
+                                          ("stacked_design_", "pairs")]
+                         + [(f"{form}_{kind}_", "plants")
+                            for form in ("lone", "stacked")
+                            for kind in CONSTRUCTIONS])
 def test_cost_bench_names_its_rows(prefix, info):
     rows = _load("BENCH_costs.json")
     named = [name for name in rows if name.startswith(prefix)]

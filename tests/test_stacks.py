@@ -220,3 +220,200 @@ def test_theta_cost_column_raises_a_failed_build_at_its_turn():
         for cost in STRATEGIES["theta"].cost(broken):
             out.append(cost)
     assert _bits(out) == _bits(list(STRATEGIES["theta"].cost(pairs[:3])))
+
+
+def _controller_bits(k):
+    return tuple(_bits(getattr(k, field))
+                 for field in ("a_diag", "B_K", "c_diag", "D_K"))
+
+
+def _plant_bits(p):
+    return tuple(_bits(getattr(p, field))
+                 for field in ("A", "b_diag", "d_diag", "x0", "w0"))
+
+
+def _with_zero_gain(p):
+    return lc.Plant(A=p.A, b_diag=np.where(np.arange(p.n) == p.n - 1, 0.0, p.b_diag),
+                    d_diag=p.d_diag, x0=p.x0, w0=p.w0)
+
+
+def _draws(seed, count):
+    """(graph, eps_b, seed) triples of n = 1..5 in shuffled order."""
+    return _shuffled([(g, (0.5, 1.0, 2)[k % 3], 1000 * seed + 7 * k)
+                      for k, (_, g) in enumerate(_mixed_pairs(seed)[:count])], seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sample_plants_match_the_lone_draws(seed):
+    draws = _draws(seed, 80)
+    stacked = list(lc.sample_plants(draws))
+    assert [_plant_bits(p) for p in stacked] == [
+        _plant_bits(lc.sample_ensemble(lc.EnsembleSpec(
+            n=g.n, plant_graph=g, eps_b=eps_b, seed=s, count=1))[0])
+        for g, eps_b, s in draws]
+
+
+def _sample_loop(g, eps_b, seed):
+    """The plant sample_ensemble drew for one seed when each field was its
+    own uniform, random or standard_normal call."""
+    n = g.n
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, size=(n, n)) * g.adj
+    magnitude = eps_b + rng.uniform(0.0, 2.0, size=n)
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    d = rng.uniform(-1.0, 1.0, size=n)
+    return lc.Plant(A=a, b_diag=sign * magnitude, d_diag=d,
+                    x0=rng.standard_normal(n), w0=rng.standard_normal(n))
+
+
+def test_sample_plants_match_the_separate_draws():
+    draws = _draws(3, 100)
+    assert [_plant_bits(p) for p in lc.sample_plants(draws)] == \
+        [_plant_bits(_sample_loop(*draw)) for draw in draws]
+
+
+def test_sample_ensemble_is_sample_plants_over_its_seeds():
+    g = lc.from_edge_list(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 1)])
+    spec = lc.EnsembleSpec(n=3, plant_graph=g, eps_b=0.5, seed=7, count=12)
+    plants = list(lc.sample_plants((g, 0.5, 7 + k) for k in range(12)))
+    assert [_plant_bits(p) for p in plants] == \
+        [_plant_bits(p) for p in lc.sample_ensemble(spec)]
+
+
+def test_sample_plants_raise_a_bad_eps_b_at_its_turn():
+    draws = _draws(2, 10)
+    g = draws[3][0]
+    out, error = _until_error(lc.sample_plants(draws[:3] + [(g, math.nan, 1)] + draws[3:]))
+    assert isinstance(error, lc.InvalidSpecError) and "eps_b" in str(error)
+    assert [_plant_bits(p) for p in out] == \
+        [_plant_bits(p) for p in lc.sample_plants(draws[:3])]
+
+
+def _sink_graph_loop(rng, n):
+    """verify._sink_graph as it was written, one vertex at a time."""
+    mask = (rng.random((n, n)) < 0.5).astype(np.int8)
+    v = int(rng.integers(n))
+    for i in range(n):
+        if i != v:
+            mask[i, v] = 0
+    if n > 1:
+        u = int(rng.integers(n - 1))
+        u = u if u < v else u + 1
+        mask[v, u] = 1
+    return mask
+
+
+def test_sink_graph_matches_the_per_vertex_loop():
+    for seed in range(300):
+        n = seed % 6 + 1
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(verify._sink_graph(rng, n).adj,
+                              _sink_graph_loop(loop_rng, n))
+        # the same draws were taken, so the streams go on alike
+        assert rng.random() == loop_rng.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_structured_builds_match_the_lone_builds(seed):
+    pairs = _mixed_pairs(seed)
+    plants = [p for p, _ in pairs]
+    assert [_controller_bits(k) for k in lc.deadbeats(plants)] == \
+        [_controller_bits(lc.deadbeat(p)) for p in plants]
+    tuned = list(lc.sink_awares(pairs))
+    assert [_controller_bits(k) for k in tuned] == \
+        [_controller_bits(lc.sink_aware(p, g)) for p, g in pairs]
+    # members without a sink are the deadbeat design, signed zeros included
+    plain = [(p, k) for (p, g), k in zip(pairs, tuned) if not lc.sinks(g)]
+    assert plain and all(_controller_bits(k) == _controller_bits(lc.deadbeat(p))
+                         for p, k in plain)
+
+
+def test_structured_builds_raise_at_their_turn():
+    pairs = _mixed_pairs(3)[:12]
+    plants = [p for p, _ in pairs]
+    out, error = _until_error(lc.deadbeats(plants[:4] + [_with_zero_gain(plants[4])]
+                                           + plants[4:]))
+    assert isinstance(error, lc.ZeroGainError)
+    assert [_controller_bits(k) for k in out] == \
+        [_controller_bits(lc.deadbeat(p)) for p in plants[:4]]
+    p, g = pairs[4]
+    other = lc.complete_graph(p.n + 1)
+    for bad, kind in (((_with_zero_gain(p), g), lc.ZeroGainError),
+                      ((p, other), lc.DimensionMismatchError),
+                      ((p, None), lc.InvalidSpecError)):
+        out, error = _until_error(lc.sink_awares(pairs[:4] + [bad] + pairs[4:]))
+        assert isinstance(error, kind)
+        assert [_controller_bits(k) for k in out] == \
+            [_controller_bits(lc.sink_aware(*pair)) for pair in pairs[:4]]
+        with pytest.raises(kind):
+            lc.sink_aware(*bad)
+
+
+def test_design_condition_errors_are_the_lone_errors():
+    rng = np.random.default_rng(9)
+    pairs = []
+    for k in range(60):
+        g_p = _random_graph(rng, 3, 0.5, False)
+        # every fifth design graph has another size, every seventh lacks a
+        # self-loop
+        g_c = _random_graph(rng, 4 if k % 5 == 0 else 3, 0.5, k % 7 != 0)
+        pairs.append((g_p, g_c))
+
+    def lone(pair):
+        try:
+            return lc.design_condition_applies(*pair)
+        except lc.LimoctrlError as exc:
+            return type(exc), str(exc)
+
+    got = [(type(r), str(r)) if isinstance(r, Exception) else r
+           for r in graphs._condition_group(pairs)]
+    assert got == [lone(pair) for pair in pairs]
+    assert sum(isinstance(r, tuple) and isinstance(r[0], type) for r in got) > 10
+
+
+def _limited_info_loop(strategy, p, g_p, row, pert, eps_b):
+    """synthesis.limited_info_check as it was written, one row at a time."""
+    build = STRATEGIES[strategy].build
+    base = build(p, g_p)
+    perturbed = build(lc.apply_row_perturbation(p, g_p, row, pert, eps_b), g_p)
+    for j in range(p.n):
+        if j == row - 1:
+            continue
+        if not (np.array_equal(base.B_K[j], perturbed.B_K[j])
+                and np.array_equal(base.D_K[j], perturbed.D_K[j])
+                and base.a_diag[j] == perturbed.a_diag[j]
+                and base.c_diag[j] == perturbed.c_diag[j]):
+            return False
+    return True
+
+
+def test_limited_info_check_matches_the_row_loop():
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for p, g in verify._sampled_plants(12, 30, mode="sink", n_lo=2):
+        row = int(rng.integers(1, p.n + 1))
+        pert = lc.RowPerturbation(
+            a_row=tuple(rng.uniform(-2.0, 2.0, size=p.n) * g.adj[row - 1]),
+            b=float(1.0 + rng.uniform(0.0, 2.0)), d=float(rng.uniform(-1.0, 1.0)))
+        for strategy in STRATEGIES:
+            got = lc.limited_info_check(strategy, p, g, row, pert, 1.0)
+            assert got == _limited_info_loop(strategy, p, g, row, pert, 1.0)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def _owner(array):
+    return array if array.base is None else array.base
+
+
+def test_handed_over_arrays_are_read_only_to_their_owner():
+    # the stacked builders hand rows of their stacks to Plant and Controller
+    # uncopied, so the stacks themselves must be frozen
+    pairs = _mixed_pairs(7)
+    built = list(lc.sink_awares(pairs)) + list(lc.deadbeats(p for p, _ in pairs))
+    built += [lc.deadbeat(pairs[0][0]), lc.sink_aware(*pairs[0])]
+    arrays = [getattr(k, field) for k in built
+              for field in ("a_diag", "B_K", "c_diag", "D_K")]
+    arrays += [getattr(p, field) for p, _ in pairs
+               for field in ("A", "b_diag", "d_diag", "x0", "w0")]
+    assert not any(a.flags.writeable or _owner(a).flags.writeable for a in arrays)
