@@ -13,8 +13,11 @@ simulate_trajectories, deadbeat_cost_closed_forms and
 centralized_lower_bounds. Each evaluates the members of one size n as
 (m, n, n) stacks with the lone routine's kernels (matrix-vector and dot
 products per member), yields results in input order and raises a member's
-error at its turn (stacks.in_stacks). The lone routine is its stacked form
-on a stack of one, so a result is the same bits alone and in any stack.
+error at its turn (stacks.in_stacks). The member checks, _size_mismatch
+and zero_gain_error, are passed to that driver with the kernels, so a
+kernel sees only members that passed. The lone routine is its stacked form
+on a stack of one (stacks.alone), so a result is the same bits alone and in
+any stack.
 """
 from collections import deque
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .plant import zero_gain_error
-from .stacks import diagonals, in_stacks, only, split, stack
+from .stacks import alone, diagonals, in_stacks, stack
 
 TOL_ABS = 1e-12
 QUIET_STEPS = 10
@@ -43,7 +46,8 @@ class ClosedLoop:
         return _initial_states([p])[0]
 
 
-def _size_mismatch(p, k):
+def _size_mismatch(pair):
+    p, k = pair
     if k.n != p.n:
         return DimensionMismatchError(
             f"controller has {k.n} subcontrollers but plant has {p.n} subsystems")
@@ -91,7 +95,7 @@ def _initial_states(plants):
 
 def closed_loop(p, k):
     """Assemble the combined linear system for plant p under controller k."""
-    error = _size_mismatch(p, k)
+    error = _size_mismatch((p, k))
     if error:
         raise error
     transition, mix_map = _closed_loops([(p, k)])
@@ -99,9 +103,6 @@ def closed_loop(p, k):
 
 
 def _trajectory_group(pairs, steps):
-    results, ok, pairs = split(pairs, lambda pair: _size_mismatch(*pair))
-    if not pairs:
-        return results
     transition, mix_map = _closed_loops(pairs)
     s = _initial_states([p for p, _ in pairs])
     states = np.empty((len(pairs), steps + 1, s.shape[1]))
@@ -111,16 +112,14 @@ def _trajectory_group(pairs, steps):
         mix[:, t] = np.matvec(mix_map, s)
         if t < steps:
             s = np.matvec(transition, s)
-    for pos, states_j, mix_j in zip(ok, states, mix):
-        results[pos] = (states_j, mix_j)
-    return results
+    return list(zip(states, mix))
 
 
 def simulate_trajectories(pairs, steps):
     """simulate_trajectory of each (plant, controller) pair, yielded in
     input order; pairs of one plant size roll forward as one stack
     (stacks.in_stacks), each member's arrays the bits of its lone roll."""
-    return in_stacks(pairs, lambda pair: pair[0].n,
+    return in_stacks(pairs, lambda pair: pair[0].n, _size_mismatch,
                      lambda members: _trajectory_group(members, steps),
                      lambda pair: simulate_trajectory(*pair, steps))
 
@@ -131,7 +130,8 @@ def simulate_trajectory(p, k, steps):
     Returns (states, mix): states[t] is the combined state at time t for
     t = 0..steps, mix[t] = u(t) + w(t).
     """
-    return only(_trajectory_group([(p, k)], steps))
+    return alone((p, k), _size_mismatch,
+                 lambda pairs: _trajectory_group(pairs, steps))
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,8 @@ class CostReport:
 
 
 def _cost_group(pairs):
-    """CostReport of each same-size (plant, controller) pair, or the
-    DimensionMismatchError that simulating it alone raises.
+    """CostReport of each same-size (plant, controller) pair that passes
+    _size_mismatch.
 
     Every member steps as one stack and leaves it at the step at which it
     would stop alone, so its report is the bits of its lone run. Each step
@@ -159,15 +159,13 @@ def _cost_group(pairs):
     matrix-vector product. The stack is re-indexed only on a step at which
     some member stops.
     """
-    results, ok, pairs = split(pairs, lambda pair: _size_mismatch(*pair))
-    if not pairs:
-        return results
     n = pairs[0][0].n
     transition, mix_map = _closed_loops(pairs)
     s = _initial_states([p for p, _ in pairs])
     total = np.zeros(len(pairs))
     recent = deque(maxlen=QUIET_STEPS)   # the last step costs, oldest first
-    live = ok                    # input positions of the stepping members
+    results = [None] * len(pairs)
+    live = range(len(pairs))     # input positions of the stepping members
     bound = 0.0                  # no live member's total exceeds it
     quiet = 0                    # steps in a row with some cost below TOL_ABS
     for steps_used in range(1, MAX_STEPS + 1):
@@ -232,7 +230,7 @@ def simulate_costs(pairs):
     is bit for bit its lone run's. A pair whose controller size differs
     from its plant's raises DimensionMismatchError at its turn.
     """
-    return in_stacks(pairs, lambda pair: pair[0].n, _cost_group,
+    return in_stacks(pairs, lambda pair: pair[0].n, _size_mismatch, _cost_group,
                      lambda pair: simulate_cost(*pair))
 
 
@@ -245,7 +243,7 @@ def simulate_cost(p, k):
     out and total is a lower estimate. tail_estimate is the last step cost
     seen, a proxy for the truncation error; below TOL_ABS when converged.
     """
-    return only(_cost_group([(p, k)]))
+    return alone((p, k), _size_mismatch, _cost_group)
 
 
 def _quadratic_forms(plants, m11, m12, m22):
@@ -268,18 +266,14 @@ def _model_stacks(plants):
 
 
 def _deadbeat_group(plants):
-    results, ok, plants = split(plants, zero_gain_error)
-    if plants:
-        a, _, dm, bi2 = _model_stacks(plants)
-        eye = np.eye(plants[0].n)
-        at_bi2 = a.transpose(0, 2, 1) @ bi2
-        q11 = eye + dm @ dm @ (eye + bi2) + at_bi2 @ a \
-            + dm @ at_bi2 @ a @ dm + at_bi2 @ dm + dm @ bi2 @ a
-        q12 = -dm - at_bi2 - dm @ bi2 - dm @ at_bi2 @ a
-        q22 = at_bi2 @ a + bi2 + eye
-        for pos, value in zip(ok, _quadratic_forms(plants, q11, q12, q22)):
-            results[pos] = value
-    return results
+    a, _, dm, bi2 = _model_stacks(plants)
+    eye = np.eye(plants[0].n)
+    at_bi2 = a.transpose(0, 2, 1) @ bi2
+    q11 = eye + dm @ dm @ (eye + bi2) + at_bi2 @ a \
+        + dm @ at_bi2 @ a @ dm + at_bi2 @ dm + dm @ bi2 @ a
+    q12 = -dm - at_bi2 - dm @ bi2 - dm @ at_bi2 @ a
+    q22 = at_bi2 @ a + bi2 + eye
+    return _quadratic_forms(plants, q11, q12, q22)
 
 
 def deadbeat_cost_closed_forms(plants):
@@ -287,28 +281,24 @@ def deadbeat_cost_closed_forms(plants):
     plants of one size are evaluated as one stack (stacks.in_stacks), each
     value the bits of its lone evaluation. A plant with a zero input gain
     raises ZeroGainError at its turn."""
-    return in_stacks(plants, lambda p: p.n, _deadbeat_group,
+    return in_stacks(plants, lambda p: p.n, zero_gain_error, _deadbeat_group,
                      lambda p: deadbeat_cost_closed_form(p))
 
 
 def deadbeat_cost_closed_form(p):
     """Exact cost of the deadbeat controller as a quadratic form in
     (x0, B w0); finite for every admissible plant."""
-    return only(_deadbeat_group([p]))
+    return alone(p, zero_gain_error, _deadbeat_group)
 
 
 def _lower_bound_group(plants):
-    results, ok, plants = split(plants, zero_gain_error)
-    if plants:
-        a, b, dm, bi2 = _model_stacks(plants)
-        eye = np.eye(plants[0].n)
-        w_mat = a.transpose(0, 2, 1) @ ((1.0 / (1.0 + b * b))[:, :, None] * a) + eye
-        v11 = w_mat + dm @ dm @ bi2 + dm @ w_mat @ dm
-        v12 = -dm @ (w_mat + bi2)
-        v22 = w_mat + bi2
-        for pos, value in zip(ok, _quadratic_forms(plants, v11, v12, v22)):
-            results[pos] = value
-    return results
+    a, b, dm, bi2 = _model_stacks(plants)
+    eye = np.eye(plants[0].n)
+    w_mat = a.transpose(0, 2, 1) @ ((1.0 / (1.0 + b * b))[:, :, None] * a) + eye
+    v11 = w_mat + dm @ dm @ bi2 + dm @ w_mat @ dm
+    v12 = -dm @ (w_mat + bi2)
+    v22 = w_mat + bi2
+    return _quadratic_forms(plants, v11, v12, v22)
 
 
 def centralized_lower_bounds(plants):
@@ -316,7 +306,7 @@ def centralized_lower_bounds(plants):
     of one size are evaluated as one stack (stacks.in_stacks), each value
     the bits of its lone evaluation. A plant with a zero input gain raises
     ZeroGainError at its turn."""
-    return in_stacks(plants, lambda p: p.n, _lower_bound_group,
+    return in_stacks(plants, lambda p: p.n, zero_gain_error, _lower_bound_group,
                      lambda p: centralized_lower_bound(p))
 
 
@@ -327,7 +317,7 @@ def centralized_lower_bound(p):
     It is no floor under other designs' costs: with x0 != 0 the deadbeat
     design can cost less than this form.
     """
-    return only(_lower_bound_group([p]))
+    return alone(p, zero_gain_error, _lower_bound_group)
 
 
 def centralized_cost_closed_form(p, sol):

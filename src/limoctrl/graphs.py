@@ -20,7 +20,7 @@ from .errors import (
     NonBinaryEntryError,
     NonSquareError,
 )
-from .stacks import in_stacks, only, stack
+from .stacks import alone, in_stacks, stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +228,7 @@ def design_conditions(pairs):
     order. Pairs whose g_p has one size are searched as one stack
     (stacks.in_stacks); a pair's DimensionMismatchError or
     MissingSelfLoopError is raised at its turn."""
-    return in_stacks(pairs, lambda pair: pair[0].n, _condition_group,
+    return in_stacks(pairs, lambda pair: pair[0].n, None, _condition_group,
                      lambda pair: design_condition_applies(*pair))
 
 
@@ -248,4 +248,4 @@ def design_condition_applies(g_p, g_c):
     such pair and the smallest l != i in out[j] give the lexicographically
     first triple.
     """
-    return only(_condition_group([(g_p, g_c)]))
+    return alone((g_p, g_c), None, _condition_group)

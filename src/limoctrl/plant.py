@@ -23,7 +23,7 @@ from .errors import (
     ZeroParameterError,
 )
 from .graphs import DirectedGraph, size_from_dict
-from .stacks import handed_over, in_stacks, split, stack
+from .stacks import alone, handed_over, in_stacks, stack
 
 
 def _frozen(a, shape):
@@ -265,9 +265,13 @@ def sample_ensemble(spec):
                               for k in range(spec.count)))
 
 
+def _draw_error(draw):
+    return _eps_b_error(draw[1])
+
+
 def _plant_stack(draws):
     """The plant of each (plant_graph, eps_b, seed) triple whose graphs have
-    one size n and whose eps_b passes _eps_b_error, drawn as one stack: one
+    one size n and which passes _draw_error, drawn as one stack: one
     generator and two draws per plant, every map once."""
     n = draws[0][0].n
     nn = n * n
@@ -293,21 +297,6 @@ def _plant_stack(draws):
             for a_k, b_k, d_k, z_k in zip(a, b, d, normal)]
 
 
-def _plant_group(draws):
-    results, ok, draws = split(draws, lambda draw: _eps_b_error(draw[1]))
-    if draws:
-        for pos, p in zip(ok, _plant_stack(draws)):
-            results[pos] = p
-    return results
-
-
-def _sample_plant(draw):
-    error = _eps_b_error(draw[1])
-    if error:
-        raise error
-    return _plant_stack([draw])[0]
-
-
 def sample_plants(draws):
     """The plant drawn for each (plant_graph, eps_b, seed) triple, yielded in
     input order: item k is sample_ensemble of the spec (plant_graph.n,
@@ -315,7 +304,8 @@ def sample_plants(draws):
     are drawn as one stack (stacks.in_stacks), each plant the bits of its
     lone draw; an eps_b that is not positive and finite raises
     InvalidSpecError at its turn."""
-    return in_stacks(draws, lambda draw: draw[0].n, _plant_group, _sample_plant)
+    return in_stacks(draws, lambda draw: draw[0].n, _draw_error, _plant_stack,
+                     lambda draw: alone(draw, _draw_error, _plant_stack))
 
 
 def worst_case_family(i, j, r, eps_b, n=None):

@@ -17,15 +17,21 @@ iteration from X = I step for step, and assembles X and the gains from P.
 Plants of one size n are solved together, as (m, n, n) stacks with one
 member per plant. Each member leaves the stack at the step at which it
 would stop alone, under the same rule, and a lone solve is a stack of one,
-so a plant's solution is the same bits alone and in any stack.
+so a plant's solution is the same bits alone and in any stack. augment is
+each member's gate: a plant it refuses never reaches the iteration.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, SingularInnerMatrixError
+from .errors import (
+    InvalidSpecError,
+    NoConvergenceError,
+    SingularInnerMatrixError,
+    ZeroGainError,
+)
 from .plant import require_finite_model, require_nonzero_gains, worst_case_family
-from .stacks import in_stacks, only
+from .stacks import alone, in_stacks
 
 _MACH_EPS = float(np.finfo(float).eps)
 # |P'| <= |P| + |P' - P| entrywise, and the computed step change is within
@@ -46,6 +52,17 @@ def augment(p):
     require_finite_model(p)
     require_nonzero_gains(p)
     return p
+
+
+def _augment_error(p):
+    """The error augment(p) raises, or None. augment is called by its
+    module-level name, once per solved plant, so a wrapper bound to it sees
+    every plant the solver takes."""
+    try:
+        augment(p)
+    except (InvalidSpecError, ZeroGainError) as exc:
+        return exc
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +123,9 @@ def _residuals(x, a, b_col, b_row):
 
 
 def _solve_group(plants, tol, max_iter):
-    """Value-iterate the DAREs of plants of one size n as one (m, n, n)
-    stack; returns, in order, each plant's DareSolution or the
-    NoConvergenceError that solving it alone raises.
+    """Value-iterate the DAREs of plants of one size n that augment
+    accepts as one (m, n, n) stack; returns, in order, each plant's
+    DareSolution or the NoConvergenceError that solving it alone raises.
 
     Each member leaves the stack at its own stopping step, so its
     iterations match a lone solve step for step. The stack is re-indexed
@@ -203,12 +220,13 @@ def solve_singular_dares(plants, tol=1e-12, max_iter=100000):
     stack at the step a lone solve would stop, so every solution,
     iteration count and residual is bit for bit that of solving the plant
     alone. A stack is solved when its first member's turn comes, and a
-    failing plant raises, at its turn, the NoConvergenceError it raises
-    alone. So a caller that uses each solution as it comes holds at most
-    one stack's solutions per plant size, and no stack behind the first
-    failure in input order is solved.
+    failing plant raises, at its turn, the error it raises alone: augment's
+    error for a plant augment refuses, which is never iterated, else a
+    NoConvergenceError. So a caller that uses each solution as it comes
+    holds at most one stack's solutions per plant size, and no stack behind
+    the first failure in input order is solved.
     """
-    return in_stacks(plants, lambda p: p.n,
+    return in_stacks(plants, lambda p: p.n, _augment_error,
                      lambda members: _solve_group(members, tol, max_iter),
                      # by the module-level name, so that a wrapper bound to
                      # it sees every lone solve
@@ -226,13 +244,18 @@ def solve_singular_dare(p, tol=1e-12, max_iter=100000):
     to a few ulps of its own scale is also accepted. The returned X is
     I + [A B]' P [A B], the gains are G1 = -K A and G2 = -K B - D with
     K = (I + BPB)^-1 BPA, and the reported residual is the max-abs Riccati
-    defect of X. A NaN or infinite step change raises NoConvergenceError
-    at once, as does reaching max_iter.
+    defect of X.
+
+    p is refused before any iteration with the error augment raises on it:
+    InvalidSpecError for a NaN or infinite entry of A, B or D,
+    ZeroGainError for a zero input gain. A NaN or infinite step change
+    raises NoConvergenceError at once, as does reaching max_iter.
 
     This is the stacked iteration of solve_singular_dares on a stack of
     one, so a plant solved alone and in a stack gives the same bits.
     """
-    return only(_solve_group([p], tol, max_iter))
+    return alone(p, _augment_error,
+                 lambda plants: _solve_group(plants, tol, max_iter))
 
 
 def dare_residual(x, p):

@@ -4,7 +4,10 @@ numpy's fixed cost per call dominates the array work of one plant at small
 n, so the stacked forms in plant, synthesis, riccati, evaluation and graphs
 evaluate the members of one size n as (m, n, n) stacks, one call per step
 for the whole stack. in_stacks is the one driver they share: it groups by
-n, caps each stack, and hands the results back in input order.
+n, caps each stack, and hands the results back in input order. It is also
+the one member gate: each stacked form passes a check, error_of(item), and
+a pure kernel, and only the members that pass their check reach the kernel.
+alone is the same gate for the lone forms.
 """
 import numpy as np
 
@@ -16,17 +19,21 @@ import numpy as np
 STACK_ENTRIES = 4096
 
 
-def in_stacks(items, size, evaluate, lone):
+def in_stacks(items, size, error_of, evaluate, lone):
     """Yield one result per item, in input order.
 
     size(item) is the item's n. Items of one n are evaluated together in
-    stacks of at most STACK_ENTRIES // n^2 members: evaluate(stack) returns
-    one result per member, or the exception that evaluating the member
-    alone raises. A stack is evaluated when its first member's turn comes,
-    and a stack of one goes through lone(item) instead. A member's exception
-    is raised at its turn, so a caller that uses each result as it comes
-    holds at most one stack's results per size, and no stack behind the
-    first failure in input order is evaluated.
+    stacks of at most STACK_ENTRIES // n^2 members. error_of(item) returns
+    the exception a member fails its precondition with, or None; the
+    members that pass are handed to evaluate(members), which returns one
+    result per member, or the exception that evaluating the member alone
+    raises. With error_of None every member is handed over, for a kernel
+    that gates its whole stack itself. A stack is evaluated when its first
+    member's turn comes, and a stack of one goes through lone(item)
+    instead. A member's exception is raised at its turn, so a caller that
+    uses each result as it comes holds at most one stack's results per
+    size, and no stack behind the first failure in input order is
+    evaluated.
     """
     items = list(items)
     sizes = [size(item) for item in items]
@@ -43,11 +50,35 @@ def in_stacks(items, size, evaluate, lone):
             if len(members) == 1:
                 yield lone(item)
                 continue
-            ready.update(zip(members, evaluate([items[k] for k in members])))
+            passed = members
+            if error_of:
+                passed = []
+                for k in members:
+                    error = error_of(items[k])
+                    if error:
+                        ready[k] = error
+                    else:
+                        passed.append(k)
+            if passed:
+                ready.update(zip(passed, evaluate([items[k] for k in passed])))
         result = ready.pop(pos)
         if isinstance(result, Exception):
             raise result
         yield result
+
+
+def alone(item, error_of, evaluate):
+    """The result of evaluate([item]), the stacked kernel on a stack of
+    one, once item passes error_of (None: no check); an exception either
+    returns is raised."""
+    if error_of:
+        error = error_of(item)
+        if error:
+            raise error
+    (result,) = evaluate([item])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def stack(arrays):
@@ -80,23 +111,3 @@ def diagonals(values):
     out = np.zeros((m, n, n))
     out.reshape(m, -1)[:, ::n + 1] = values
     return out
-
-
-def split(items, error_of):
-    """The results list of a stack, holding error_of(item) for each item it
-    returns an exception for and None elsewhere, with the positions and the
-    items of the rest, the members left to evaluate (a range and items
-    itself when no item fails)."""
-    results = [error_of(item) for item in items]
-    if not any(results):
-        return results, range(len(items)), items
-    ok = [pos for pos, error in enumerate(results) if error is None]
-    return results, ok, [items[pos] for pos in ok]
-
-
-def only(results):
-    """The result of a stack of one, raised if it is an exception."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result

@@ -22,10 +22,10 @@ from .errors import (
     ZeroGainError,
 )
 from .evaluation import (
+    _cost_group,
     centralized_cost_closed_form,
     deadbeat_cost_closed_forms,
     simulate_cost,
-    simulate_costs,
 )
 from .graphs import sink_masks
 from .plant import (
@@ -35,8 +35,9 @@ from .plant import (
     validate,
     zero_gain_error,
 )
-from .riccati import augment, solve_singular_dare, solve_singular_dares
-from .stacks import diagonals, handed_over, in_stacks, split, stack
+# augment is bound but unused here: perfbench's tracer tests read the name
+from .riccati import augment, solve_singular_dare, solve_singular_dares  # noqa: F401
+from .stacks import alone, diagonals, handed_over, in_stacks, stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,11 +115,12 @@ def controller_from_gains(p, sol):
 def centralized_optimal(p, sol=None):
     """Optimal disturbance-accommodating controller with full model access.
 
-    sol is a solved fixed point of augment(p); without one the singular
-    DARE is solved here with the solver's own defaults.
+    sol is solve_singular_dare's solution for p; without one the singular
+    DARE is solved here with the solver's own defaults, and a plant that
+    augment refuses raises augment's error.
     """
     if sol is None:
-        sol = solve_singular_dare(augment(p))
+        sol = solve_singular_dare(p)
     return controller_from_gains(p, sol)
 
 
@@ -129,10 +131,11 @@ def centralized_costs(plants):
     This is the one route to that cost: the Riccati equations go through
     solve_singular_dares, so plants of one size are solved as stacks, and
     each cost is taken as its solution comes, so only floats outlive a
-    stack. A list of one plant is a lone solve_singular_dare.
+    stack. A list of one plant is a lone solve_singular_dare. A plant that
+    augment refuses raises at its turn.
     """
     plants = list(plants)
-    for p, sol in zip(plants, solve_singular_dares([augment(p) for p in plants])):
+    for p, sol in zip(plants, solve_singular_dares(plants)):
         yield centralized_cost_closed_form(p, sol)
 
 
@@ -172,28 +175,19 @@ def _deadbeat_stack(plants):
     return _controllers(plants, diagonals(-(d * d) / b), d_k)
 
 
-def _deadbeat_group(plants):
-    results, ok, plants = split(plants, zero_gain_error)
-    if plants:
-        for pos, k in zip(ok, _deadbeat_stack(plants)):
-            results[pos] = k
-    return results
-
-
 def deadbeats(plants):
     """deadbeat of each plant, yielded in input order; plants of one size
     are built as one stack (stacks.in_stacks), each controller the bits of
     its lone build. A plant with a zero input gain raises ZeroGainError at
     its turn."""
-    return in_stacks(plants, lambda p: p.n, _deadbeat_group,
+    return in_stacks(plants, lambda p: p.n, zero_gain_error, _deadbeat_stack,
                      lambda p: deadbeat(p))
 
 
 def deadbeat(p):
     """Two-step deadbeat design: cancel couplings and disturbance estimate,
     then hold u + w at zero. Row i uses only (row i of A, b_ii, d_ii)."""
-    require_nonzero_gains(p)
-    return _deadbeat_stack([p])[0]
+    return alone(p, zero_gain_error, _deadbeat_stack)
 
 
 def sink_gain(a_ii, b_ii):
@@ -211,7 +205,8 @@ def sink_gain(a_ii, b_ii):
     return 2.0 / (b2 + a2 + 1.0 + math.sqrt(disc))
 
 
-def _sink_aware_error(p, g_p):
+def _sink_aware_error(pair):
+    p, g_p = pair
     if g_p is None:
         return InvalidSpecError("the sink-aware design needs the plant graph")
     if p.n != g_p.n:
@@ -267,21 +262,13 @@ def _sink_aware_stack(pairs):
     return built
 
 
-def _sink_aware_group(pairs):
-    results, ok, pairs = split(pairs, lambda pair: _sink_aware_error(*pair))
-    if pairs:
-        for pos, controller in zip(ok, _sink_aware_stack(pairs)):
-            results[pos] = controller
-    return results
-
-
 def sink_awares(pairs):
     """sink_aware of each (plant, graph) pair, yielded in input order; pairs
     of one plant size are built as one stack (stacks.in_stacks), each
     controller the bits of its lone build. A missing graph, a graph of
     another size or a zero input gain raises at its turn."""
-    return in_stacks(pairs, lambda pair: pair[0].n, _sink_aware_group,
-                     lambda pair: sink_aware(*pair))
+    return in_stacks(pairs, lambda pair: pair[0].n, _sink_aware_error,
+                     _sink_aware_stack, lambda pair: sink_aware(*pair))
 
 
 def sink_aware(p, g_p):
@@ -293,27 +280,23 @@ def sink_aware(p, g_p):
     no sinks at all the result is deadbeat(p), bit for bit. Without a graph
     (g_p None) the design is refused with InvalidSpecError.
     """
-    error = _sink_aware_error(p, g_p)
-    if error:
-        raise error
-    return _sink_aware_stack([(p, g_p)])[0]
+    return alone((p, g_p), _sink_aware_error, _sink_aware_stack)
 
 
 def _theta_costs(pairs):
     """The simulated cost of the sink-aware design of each (plant, graph)
     pair, yielded in order.
 
-    Pairs of one plant size are built and stepped as one stack
-    (stacks.in_stacks, _sink_aware_group, evaluation.simulate_costs), so
-    only floats outlive a stack; a build that raises raises at its turn.
+    Pairs of one plant size that pass _sink_aware_error are built and
+    stepped as one stack (stacks.in_stacks, _sink_aware_stack,
+    evaluation._cost_group), so only floats outlive a stack; a pair that
+    fails raises at its turn.
     """
     def stack_costs(members):
-        built = _sink_aware_group(members)
-        totals = (report.total for report in simulate_costs(
-            [(p, k) for (p, _), k in zip(members, built)
-             if not isinstance(k, Exception)]))
-        return [k if isinstance(k, Exception) else next(totals) for k in built]
-    return in_stacks(pairs, lambda pair: pair[0].n, stack_costs,
+        built = _sink_aware_stack(members)
+        return [report.total for report in
+                _cost_group([(p, k) for (p, _), k in zip(members, built)])]
+    return in_stacks(pairs, lambda pair: pair[0].n, _sink_aware_error, stack_costs,
                      lambda pair: simulate_cost(pair[0], sink_aware(*pair)).total)
 
 

@@ -177,7 +177,7 @@ def check_dare_explicit_oracle():
     worst_k = 0.0
     for r in (0.5, 1.0, 2.0):
         p = plant.worst_case_family(1, 2, r, 1.0, 2)
-        sol = riccati.solve_singular_dare(riccati.augment(p))
+        sol = riccati.solve_singular_dare(p)
         explicit = riccati.worst_case_family_solution(1, 2, r, 1.0, 2)
         worst_x = max(worst_x, float(np.max(np.abs(sol.X - explicit))))
         k_iter = synthesis.centralized_optimal(p, sol=sol)
@@ -267,7 +267,7 @@ def check_family_cost_formula():
     name = "criterion_06b_family_cost_formula"
     formula = ratio.worst_case_optimal_cost(1.0, 10.0)
     p = plant.worst_case_family(1, 2, 10.0, 1.0, 2)
-    sol = riccati.solve_singular_dare(riccati.augment(p))
+    sol = riccati.solve_singular_dare(p)
     simulated = evaluation.simulate_cost(p, synthesis.centralized_optimal(p, sol=sol)).total
     exact = evaluation.centralized_cost_closed_form(p, sol)
     rel = abs(simulated - formula) / formula

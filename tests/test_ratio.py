@@ -98,6 +98,34 @@ def test_plant_ratios_take_each_numerator_after_its_own_denominator():
             lc.plant_ratios([(good, None), (overflow, None)], "deadbeat")
 
 
+def test_a_later_plant_the_solver_refuses_waits_for_its_turn():
+    # the zero-gain plant shares the good plant's stack, but its error comes
+    # after the good plant's numerator error (theta without a graph)
+    good = lc.worst_case_family(1, 2, 3.0, 1.0, 2)
+    zero = lc.Plant(A=good.A, b_diag=[1.0, 0.0], d_diag=good.d_diag,
+                    x0=good.x0, w0=good.w0)
+    with pytest.raises(lc.InvalidSpecError, match="needs the plant graph"):
+        lc.plant_ratios([(good, None), (zero, None)], "theta")
+    with pytest.raises(lc.ZeroGainError, match=r"b\[2\]"):
+        lc.plant_ratios([(good, None), (zero, None)], "deadbeat")
+
+
+def test_plant_ratios_call_augment_once_per_plant(monkeypatch):
+    # perfbench's tracer counts solved plants at riccati.augment
+    seen = []
+    augment = lc.riccati.augment
+
+    def counted(p):
+        seen.append(id(p))
+        return augment(p)
+
+    monkeypatch.setattr(lc.riccati, "augment", counted)
+    plants = [lc.worst_case_family(1, 2, r, 1.0, n)
+              for r, n in ((1.0, 2), (2.0, 3), (3.0, 2), (4.0, 5), (5.0, 2))]
+    lc.plant_ratios([(p, None) for p in plants], "deadbeat")
+    assert sorted(seen) == sorted(id(p) for p in plants)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:

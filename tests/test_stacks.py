@@ -111,9 +111,35 @@ def test_no_stack_behind_the_first_failure_is_evaluated(monkeypatch):
     bad2 = (p2, _zero_controller(1))
     out, error = _until_error(lc.simulate_costs([good2, bad2, good2, good3, good3]))
     assert isinstance(error, lc.DimensionMismatchError) and len(out) == 1
-    # the n = 2 stack ran (its bad member held back its error); the n = 3
-    # stack, whose first member comes after the failure, never did
-    assert evaluated == [[2, 2, 2]]
+    # the n = 2 stack ran without its bad member, whose error was held
+    # back to its turn; the n = 3 stack, whose first member comes after
+    # the failure, never did
+    assert evaluated == [[2, 2]]
+
+
+def test_the_driver_gates_each_member_at_its_turn():
+    # one size, so one stack; a negative item fails its check
+    evaluated = []
+
+    def error_of(item):
+        return lc.InvalidSpecError(f"bad item {item}") if item < 0 else None
+
+    def evaluate(members):
+        evaluated.append(members)
+        return [10 * item for item in members]
+
+    def run(items):
+        return stacks.in_stacks(items, lambda item: 1, error_of, evaluate,
+                                lambda item: stacks.alone(item, error_of, evaluate))
+
+    out, error = _until_error(run([1, -2, 3]))
+    assert out == [10] and str(error) == "bad item -2"
+    assert evaluated == [[1, 3]]
+    # a stack of one goes through lone, with the same error
+    evaluated.clear()
+    out, lone_error = _until_error(run([-2]))
+    assert out == [] and evaluated == []
+    assert type(lone_error) is type(error) and str(lone_error) == str(error)
 
 
 def test_stacks_are_capped(monkeypatch):
