@@ -3,12 +3,15 @@
 Machine-readable results go to stdout (or the --out file); everything
 meant for humans goes to stderr. Exit codes: 0 success, 1 domain failure
 (constraint violations, failed checks, solver non-convergence), 2 usage or
-parse errors. All commands are deterministic given their flags and seed.
+parse errors, 141 when the reader of stdout has gone before the output was
+written (the code a shell reports for a process that SIGPIPE ended; nothing
+is printed). All commands are deterministic given their flags and seed.
 """
 import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -44,13 +47,25 @@ def _build(loader, payload, what):
         _fail_usage(f"{what} JSON has the wrong shape: {exc}")
 
 
+EXIT_CLOSED_STDOUT = 141      # 128 + SIGPIPE, as a shell reports it
+
+
 @contextlib.contextmanager
 def _output(out_path):
     if out_path:
         with open(out_path, "w") as fh:
             yield fh
-    else:
+        return
+    try:
         yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone; what is still buffered would fail again,
+        # with a traceback, at exit, so the dead descriptor goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise SystemExit(EXIT_CLOSED_STDOUT)
 
 
 def _emit(text, out_path):

@@ -321,8 +321,11 @@ def centralized_lower_bound(p):
 
 
 def centralized_cost_closed_form(p, sol):
-    """Exact optimal cost from a solved Riccati fixed point: the quadratic
-    form of X at (x0, xi0) with xi0 = G2 B^-1 x0 + w0."""
-    xi0 = (sol.G2 / p.b_diag[None, :]) @ p.x0 + p.w0
-    v = np.concatenate([p.x0, xi0])
-    return float(v @ sol.X @ v)
+    """Exact optimal cost from a solved Riccati fixed point: v'Xv at
+    v = (x0, xi0), xi0 = G2 B^-1 x0 + w0, read off P in n dims as
+    |x0|^2 + |xi0|^2 + y'Py with y = A x0 + B xi0 (X = I + [A B]'P[A B])."""
+    x0, b = p.x0, p.b_diag
+    # .dot: at n <= 5 a call's overhead is the cost, and a vector @ costs more
+    xi0 = (sol.G2 / b).dot(x0) + p.w0
+    y = p.A.dot(x0) + b * xi0
+    return float(x0.dot(x0) + xi0.dot(xi0) + y.dot(sol.P.dot(y)))

@@ -12,7 +12,9 @@ is X = I + [A B]' P [A B] with P the solution of the standard n-dim DARE
 Every routine here reads A, diag(B) and diag(D) straight off the plant; the
 2n-dim pair ([[A, B], [0, D]], [[0], [I]]) is never built. The solver
 value-iterates the n-dim equation from P = 0, which matches the 2n-dim
-iteration from X = I step for step, and assembles X and the gains from P.
+iteration from X = I step for step, and keeps P, the gains and P's own
+Riccati defect: it builds no 2n-dim array. X is lifted from P only when a
+caller reads a solution's X.
 
 Plants of one size n are solved together, as (m, n, n) stacks with one
 member per plant. Each member leaves the stack at the step at which it
@@ -30,7 +32,7 @@ from .errors import (
     SingularInnerMatrixError,
     ZeroGainError,
 )
-from .plant import require_finite_model, require_nonzero_gains, worst_case_family
+from .plant import Plant, require_finite_model, require_nonzero_gains, worst_case_family
 from .stacks import alone, in_stacks
 
 _MACH_EPS = float(np.finfo(float).eps)
@@ -67,11 +69,17 @@ def _augment_error(p):
 
 @dataclass(frozen=True, eq=False)
 class DareSolution:
-    X: np.ndarray
+    P: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
     iterations: int
     residual: float
+    plant: Plant
+
+    @property
+    def X(self):
+        """The 2n-dim fixed point I + [A B]' P [A B], lifted on each read."""
+        return _lift(self.P, self.plant)
 
 
 def _solve_inner(inner, rhs):
@@ -92,34 +100,13 @@ def _gain(p_mat, a, b_col, b_row, eye):
     return pa, bpa, _solve_inner(eye + b_col * p_mat * b_row, bpa)
 
 
-def _lift(q, qa, bqa, a, b_col, b_row):
-    """I + [A B]' Q [A B], the augmented-state value of each state-sized Q
-    of an (m, n, n) stack, given QA and BQA."""
-    m, n = qa.shape[:2]
-    out = np.empty((m, 2 * n, 2 * n))
-    out[:, :n, :n] = a.transpose(0, 2, 1) @ qa
-    out[:, n:, :n] = bqa
-    out[:, :n, n:] = bqa.transpose(0, 2, 1)
-    out[:, n:, n:] = b_col * q * b_row
-    lifted = out + out.transpose(0, 2, 1)
-    lifted *= 0.5
-    # + I in place, with no 2n-dim identity to allocate (1.3 MB at n = 200):
-    # adding 0.0 turns -0.0 into 0.0 as the identity's zeros do, and the
-    # diagonal, a stride of 2n + 1, gets its 1.0
-    lifted += 0.0
-    lifted.reshape(m, -1)[:, ::2 * n + 1] += 1.0
-    return lifted
-
-
-def _residuals(x, a, b_col, b_row):
-    """Max-abs fixed-point defect of each symmetric 2n-dim X of an
-    (m, 2n, 2n) stack, through the Schur complement (see dare_residual)."""
-    n = a.shape[1]
-    x12 = x[:, :n, n:]
-    schur = x[:, :n, :n] - x12 @ _solve_inner(x[:, n:, n:], x12.transpose(0, 2, 1))
-    qa = schur @ a
-    lifted = _lift(schur, qa, b_col * qa, a, b_col, b_row)
-    return np.abs(lifted - x).max(axis=(1, 2))
+def _lift(q, p):
+    """I + [A B]' Q [A B], the augmented-state value of a state-sized Q on
+    plant p."""
+    a, b = p.A, p.b_diag[:, None]
+    qa = q @ a
+    out = np.block([[a.T @ qa, (b * qa).T], [b * qa, b * q * b.T]])
+    return 0.5 * (out + out.T) + np.eye(2 * p.n)
 
 
 def _solve_group(plants, tol, max_iter):
@@ -196,7 +183,10 @@ def _solve_group(plants, tol, max_iter):
                 f"no fixed point within {max_iter} iterations, last step "
                 f"change {change:.3e}", iterations=max_iter, residual=change)
     pa, bpa, k = _gain(p_final, a, b_cols, b_rows, eye)
-    x = _lift(p_final, pa, bpa, a, b_cols, b_rows)
+    # P's Riccati defect: the step change, before symmetrising, that one
+    # more iteration would make
+    defect = eye + a.transpose(0, 2, 1) @ pa - bpa.transpose(0, 2, 1) @ k - p_final
+    residuals = np.abs(defect).max(axis=(1, 2)).tolist()
     minus_k = -k
     g1 = minus_k @ a
     g2 = minus_k * b_rows
@@ -204,11 +194,10 @@ def _solve_group(plants, tol, max_iter):
     # entries off it are left as they are, as x - 0.0 leaves them
     g2_diag = g2.reshape(m, n * n)[:, ::n + 1]
     np.subtract(g2_diag, [p.d_diag for p in plants], out=g2_diag)
-    residuals = _residuals(x, a, b_cols, b_rows).tolist()
-    return [error or DareSolution(X=xj, G1=g1j, G2=g2j, iterations=steps_j,
-                                  residual=residual)
-            for error, xj, g1j, g2j, steps_j, residual
-            in zip(failed, x, g1, g2, iterations, residuals)]
+    return [error or DareSolution(P=pj, G1=g1j, G2=g2j, iterations=steps_j,
+                                  residual=residual, plant=p)
+            for error, p, pj, g1j, g2j, steps_j, residual
+            in zip(failed, plants, p_final, g1, g2, iterations, residuals)]
 
 
 def solve_singular_dares(plants, tol=1e-12, max_iter=100000):
@@ -241,10 +230,12 @@ def solve_singular_dare(p, tol=1e-12, max_iter=100000):
 
     The absolute tolerance is unreachable once entries of P exceed about
     1e4 (one ulp is then larger than tol), so an iterate that is stationary
-    to a few ulps of its own scale is also accepted. The returned X is
-    I + [A B]' P [A B], the gains are G1 = -K A and G2 = -K B - D with
-    K = (I + BPB)^-1 BPA, and the reported residual is the max-abs Riccati
-    defect of X.
+    to a few ulps of its own scale is also accepted. The solution keeps P;
+    its X, I + [A B]' P [A B], is lifted from P when read. The gains are
+    G1 = -K A and G2 = -K B - D with K = (I + BPB)^-1 BPA, and the
+    residual is the max-abs n-dim defect of P, |I + A'PA - (BPA)'K - P|:
+    the step change, before symmetrising, that one more iteration would
+    make.
 
     p is refused before any iteration with the error augment raises on it:
     InvalidSpecError for a NaN or infinite entry of A, B or D,
@@ -264,11 +255,13 @@ def dare_residual(x, p):
 
     Minimising over the free xi(k+1) turns the Riccati map into
     I + [A B]' S [A B] with S the Schur complement X11 - X12 X22^-1 X21,
-    so the defect needs only n-dim products.
+    so the defect needs only an n-dim solve and one lift.
     """
-    b = p.b_diag[None]
-    return _residuals(np.asarray(x)[None], p.A[None], b[:, :, None],
-                      b[:, None, :])[0].item()
+    x = np.asarray(x)
+    n = p.n
+    x12 = x[:n, n:]
+    schur = x[:n, :n] - x12 @ _solve_inner(x[n:, n:], x12.T)
+    return float(np.abs(_lift(schur, p) - x).max())
 
 
 def worst_case_family_solution(i, j, r, eps_b, n=None):
@@ -279,12 +272,7 @@ def worst_case_family_solution(i, j, r, eps_b, n=None):
     X = [[A'A, e A'], [e A, e^2/(1+e^2) A'A + e^2 I]] + I.
     """
     p = worst_case_family(i, j, r, eps_b, n)
-    n = p.n
     e2 = eps_b * eps_b
     ata = p.A.T @ p.A
-    x = np.eye(2 * n)
-    x[:n, :n] += ata
-    x[:n, n:] = eps_b * p.A.T
-    x[n:, :n] = eps_b * p.A
-    x[n:, n:] += e2 / (1.0 + e2) * ata + e2 * np.eye(n)
-    return x
+    return np.eye(2 * p.n) + np.block(
+        [[ata, eps_b * p.A.T], [eps_b * p.A, e2 / (1.0 + e2) * ata + e2 * np.eye(p.n)]])

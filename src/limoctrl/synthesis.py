@@ -101,27 +101,20 @@ def controller_from_dict(d):
                       c_diag=_diagonal_of(d, "C_K"), D_K=d["D_K"])
 
 
-def controller_from_gains(p, sol):
-    """Assemble the optimal controller from a solved Riccati fixed point.
-
-    D_K is the very array G2 B^-1, so the defining constraint
-    G2 B^-1 - D_K = 0 holds bit for bit, not merely within tolerance.
-    """
-    d_k = sol.G2 / p.b_diag[None, :]
-    b_k = sol.G1 + p.d_diag[:, None] * d_k - d_k @ p.A
-    return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
-
-
 def centralized_optimal(p, sol=None):
     """Optimal disturbance-accommodating controller with full model access.
 
     sol is solve_singular_dare's solution for p; without one the singular
     DARE is solved here with the solver's own defaults, and a plant that
-    augment refuses raises augment's error.
+    augment refuses raises augment's error. D_K is the very array G2 B^-1,
+    so the defining constraint G2 B^-1 - D_K = 0 holds bit for bit, not
+    merely within tolerance.
     """
     if sol is None:
         sol = solve_singular_dare(p)
-    return controller_from_gains(p, sol)
+    d_k = sol.G2 / p.b_diag[None, :]
+    b_k = sol.G1 + p.d_diag[:, None] * d_k - d_k @ p.A
+    return Controller(a_diag=p.d_diag, B_K=b_k, c_diag=np.ones(p.n), D_K=d_k)
 
 
 def centralized_costs(plants):

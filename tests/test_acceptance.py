@@ -65,7 +65,7 @@ def test_full_pass_solves_656_riccati_equations(full_pass):
 
 
 # sha256 of the JSON lines `limoctrl verify --seed 0` writes at full scale
-_PINNED_VERIFY_SHA256 = "4410ec106684bccd66d56257db26727237d2fe2cc1d84c71e8d6fb2f01b3cba5"
+_PINNED_VERIFY_SHA256 = "83c94930275494ddcb5007b16cfdce3739cb2f98a93d08eb7dd36762479d98d4"
 
 
 def test_full_pass_bytes_are_pinned(acceptance, pinned_blas):

@@ -1,15 +1,19 @@
-"""Command-line entry points, exercised in process via main(argv)."""
+"""Command-line entry points, exercised in process via main(argv), and
+in a subprocess where the process's own stdout is under test."""
 
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 import limoctrl as lc
-from limoctrl.cli import _parser, _write_controller, main
+from limoctrl.cli import EXIT_CLOSED_STDOUT, _parser, _write_controller, main
 from limoctrl.synthesis import STRATEGIES
 
 
@@ -151,6 +155,26 @@ def test_synthesize_writes_one_matrix_row_per_line(files):
             if line.lstrip().startswith("[")]
     assert len(rows) == 4 * GOOD_PLANT.n
     assert all(len(json.loads(row)) == GOOD_PLANT.n for row in rows)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_ends_quietly(files, unbuffered):
+    # the pipe's read end is closed before the command starts, so its first
+    # write (unbuffered) or its flush (buffered) meets the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lc.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "limoctrl.cli", "synthesize",
+             "--plant", str(files["plant"]), "--graph", str(files["graph"]),
+             "--strategy", "centralized", "--with-cost"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""        # no traceback, no "Exception ignored"
+    assert proc.returncode == EXIT_CLOSED_STDOUT == 141
 
 
 def test_synthesize_refuses_inadmissible_plant(files, capsys):

@@ -1,6 +1,7 @@
 """Closed-loop assembly, cost simulation, and the three closed cost forms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +215,47 @@ def test_family_cost_reference_point():
     assert math.isclose(closed, 7.3407893370497845, rel_tol=1e-12)
     report = lc.simulate_cost(p, lc.centralized_optimal(p))
     assert math.isclose(report.total, closed, rel_tol=1e-6)
+
+
+def exact_family_cost(p):
+    """v'Xv in exact rationals on a worst_case_family plant at eps_b = 1,
+    from the family's closed form X = [[I + A'A, A'], [A, A'A/2 + 2I]] and
+    v = (x0, D_K x0 + w0) with D_K = -A/2 - I, on the plant's float A, x0
+    and w0."""
+    n = p.n
+    a = [[Fraction(v) for v in row] for row in p.A.tolist()]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    ata = [[sum(a[k][i] * a[k][j] for k in range(n) if a[k][i]) for j in range(n)]
+           for i in range(n)]
+    x = ([[eye[i][j] + ata[i][j] for j in range(n)] + [a[j][i] for j in range(n)]
+          for i in range(n)]
+         + [[a[i][j] for j in range(n)] + [ata[i][j] / 2 + 2 * eye[i][j] for j in range(n)]
+            for i in range(n)])
+    x0 = [Fraction(v) for v in p.x0.tolist()]
+    xi0 = [sum((-a[i][j] / 2 - eye[i][j]) * x0[j] for j in range(n)) + Fraction(w)
+           for i, w in enumerate(p.w0.tolist())]
+    v = x0 + xi0
+    return sum(v[i] * x[i][j] * v[j] for i in range(2 * n) for j in range(2 * n))
+
+
+@pytest.mark.parametrize("r", [1.0, 10.0, 1e3, 1e5])
+@pytest.mark.parametrize("n", [2, 30])
+def test_centralized_cost_matches_the_exact_family_cost(n, r):
+    p = lc.worst_case_family(1, 2, r, 1.0, n)
+    exact = exact_family_cost(p)
+    cost = lc.centralized_cost_closed_form(p, lc.solve_singular_dare(p))
+    assert abs(Fraction(cost) - exact) <= 4 * Fraction(np.finfo(float).eps) * exact
+
+
+def test_centralized_cost_matches_the_lifted_quadratic_form():
+    # the n-dim form against v'Xv on the lifted X, on verify's seed-2000
+    # ensemble of criteria 04a and 04b
+    plants = [p for p, _ in lc.verify._sampled_plants(2000, 200)]
+    for p, sol in zip(plants, lc.solve_singular_dares(plants)):
+        xi0 = (sol.G2 / p.b_diag) @ p.x0 + p.w0
+        v = np.concatenate([p.x0, xi0])
+        lifted = float(v @ sol.X @ v)
+        assert lc.centralized_cost_closed_form(p, sol) == pytest.approx(lifted, rel=1e-13)
 
 
 def test_optimal_design_can_lose_to_deadbeat_with_nonzero_start():

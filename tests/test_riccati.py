@@ -437,6 +437,29 @@ def test_block_residual_matches_dense_defect():
         assert lc.dare_residual(x, p) == pytest.approx(expected, rel=1e-10)
 
 
+def dense_state_defect(p_mat, p):
+    """Defect of P in the n-dim (A, B, I, I) DARE, with the dense B and
+    np.linalg.solve, as an oracle."""
+    a, b, eye = p.A, p.B, np.eye(p.n)
+    cross = b.T @ p_mat @ a
+    return (eye + a.T @ p_mat @ a
+            - cross.T @ np.linalg.solve(eye + b.T @ p_mat @ b, cross) - p_mat)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-4])
+@pytest.mark.parametrize("n", [3, 30])
+def test_residual_is_the_dense_state_defect(n, tol):
+    # at tol = 1e-4 the solve stops early, so the defect is far above
+    # rounding and the two computations must agree on it
+    plants = random_plants(seed=50 + n, count=3, n=n)
+    for p, sol in zip(plants, lc.solve_singular_dares(plants, tol=tol)):
+        scale = 1.0 + float(np.max(np.abs(sol.P)))
+        expected = float(np.max(np.abs(dense_state_defect(sol.P, p))))
+        assert abs(sol.residual - expected) <= 1e-12 * scale
+        if tol > 1e-12:
+            assert expected > 1e-8 * scale
+
+
 # A = [[0.5, 1], [0, 0.3]] with b = (0, 1) is a plant the old rank probe
 # admitted, and on which every design then divided by zero. Vertex 2 feeds
 # vertex 1, so row 2 is sink_aware's non-sink (deadbeat) row.
