@@ -33,8 +33,12 @@ BENCH_costs.json, each row in seconds per plant or per graph pair:
   lone_simulate_verify_n{1..5}  simulate_cost of the deadbeat design on
       each plant of size n among verify._sampled_plants(2000, 200), as
       verify's criterion 04b does, with the plant count and summed steps
-  stacked_simulate_verify_n{1..5}  simulate_costs on those same pairs as
-      one call
+  lone_exact_cost_{deadbeat,theta}_n{5,20,50,200}  exact_cost of the
+      designs of lone_simulate_{deadbeat,theta}_n{n}, with its squarings
+  stacked_exact_cost_verify_n{1..5}  exact_costs on the pairs of
+      lone_simulate_verify_n{n} as one call, as criterion 02 sums them
+  A tree without exact_cost and exact_costs times in their place the
+  simulate_cost and simulate_costs calls they replace.
   lone_design_condition_c10  design_condition_applies on each of verify's
       criterion-10 pairs, all 4096 ordered pairs of 3-vertex graphs with
       self-loops
@@ -86,8 +90,10 @@ FILES = {
     "BENCH_costs.json": (
         [f"lone_simulate_{design}_n{n}" for design in ("deadbeat", "theta")
          for n in ENSEMBLE_SIZES]
+        + [f"lone_exact_cost_{design}_n{n}" for design in ("deadbeat", "theta")
+           for n in ENSEMBLE_SIZES]
         + [f"lone_simulate_verify_n{n}" for n in VERIFY_SIZES]
-        + [f"stacked_simulate_verify_n{n}" for n in VERIFY_SIZES]
+        + [f"stacked_exact_cost_verify_n{n}" for n in VERIFY_SIZES]
         + ["lone_design_condition_c10", "stacked_design_condition_c10",
            "lone_design_condition_n200"]
         + [f"{form}_{kind}{where}_n{n}"
@@ -176,6 +182,7 @@ def _criterion_10_pairs(lc):
 def _cost_cases(lc):
     """Row name -> (fn evaluating the row's inputs once, input count, info)."""
     ev = lc.evaluation
+    exact = getattr(ev, "exact_cost", None)
     cases = {}
     for n in ENSEMBLE_SIZES:
         p, mask = _ensemble_plant(lc, n)
@@ -185,16 +192,20 @@ def _cost_cases(lc):
             cases[f"lone_simulate_{design}_n{n}"] = (
                 lambda p=p, k=k: ev.simulate_cost(p, k), 1,
                 {"steps": ev.simulate_cost(p, k).steps_used})
+            cases[f"lone_exact_cost_{design}_n{n}"] = (
+                (lambda p=p, k=k: exact(p, k), 1,
+                 {"squarings": exact(p, k).squarings}) if exact else
+                (lambda p=p, k=k: ev.simulate_cost(p, k), 1, {}))
     pairs = [(p, lc.synthesis.deadbeat(p))
              for p, _ in lc.verify._sampled_plants(2000, 200)]
-    stacked = getattr(ev, "simulate_costs", None)
+    stacked = getattr(ev, "exact_costs", None) or getattr(ev, "simulate_costs", None)
     for n in VERIFY_SIZES:
         group = [(p, k) for p, k in pairs if p.n == n]
         cases[f"lone_simulate_verify_n{n}"] = (
             lambda g=group: [ev.simulate_cost(p, k) for p, k in g], len(group),
             {"plants": len(group),
              "steps": sum(ev.simulate_cost(p, k).steps_used for p, k in group)})
-        cases[f"stacked_simulate_verify_n{n}"] = None if stacked is None else (
+        cases[f"stacked_exact_cost_verify_n{n}"] = None if stacked is None else (
             lambda g=group, f=stacked: list(f(g)), len(group),
             {"plants": len(group)})
     graphs = lc.graphs

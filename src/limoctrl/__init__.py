@@ -80,14 +80,16 @@ from .synthesis import (
 from .evaluation import (
     ClosedLoop,
     CostReport,
+    ExactCost,
     centralized_cost_closed_form,
     centralized_lower_bound,
     centralized_lower_bounds,
     closed_loop,
     deadbeat_cost_closed_form,
     deadbeat_cost_closed_forms,
+    exact_cost,
+    exact_costs,
     simulate_cost,
-    simulate_costs,
     simulate_trajectories,
     simulate_trajectory,
 )

@@ -2,25 +2,25 @@
 
 Costs are the infinite sums of x'x + (u+w)'(u+w) in identity-weight
 coordinates; callers with general diagonal weights should fold them in
-with plant.normalize first. Simulation detects convergence on the running
-step cost, never on the state norm, because the disturbance state w does
-not decay when a pole sits on the unit circle. A closed-form fast path via
-a Lyapunov equation is deliberately absent for the same reason: the
-combined loop is only marginally stable then, with cost-invisible modes.
+with plant.normalize first. exact_cost sums the whole series by Smith's
+doubling, with no step cap and no tolerance; the theta strategy's cost
+column, domination_check and criteria 02 and 07a read it. simulate_cost
+steps the loop until its step cost stays small, and its total is a lower
+estimate when its steps run out; at n = 200 it takes milliseconds where a
+doubling takes a tenth of a second, so synthesize --with-cost reads it.
+Neither solves a Lyapunov equation: with a pole of D on the unit circle
+the combined loop is only marginally stable, with cost-invisible modes.
 
-Every routine has a stacked form over a list: simulate_costs,
-simulate_trajectories, deadbeat_cost_closed_forms and
-centralized_lower_bounds. Each evaluates the members of one size n as
-(m, n, n) stacks with the lone routine's kernels (matrix-vector and dot
-products per member), yields results in input order and raises a member's
-error at its turn (stacks.in_stacks). The member checks, _size_mismatch
-and zero_gain_error, are passed to that driver with the kernels, so a
-kernel sees only members that passed. The lone routine is its stacked form
-on a stack of one (stacks.alone), so a result is the same bits alone and in
-any stack.
+The stacked forms over a list, exact_costs, simulate_trajectories,
+deadbeat_cost_closed_forms and centralized_lower_bounds, evaluate the
+members of one size n as (m, n, n) stacks with the lone routine's kernels,
+yield results in input order and raise a member's error at its turn
+(stacks.in_stacks, which gates each member with _size_mismatch or
+zero_gain_error). A lone routine is its stacked form on a stack of one
+(stacks.alone), so a result is the same bits alone and in any stack.
 """
-from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ TOL_ABS = 1e-12
 QUIET_STEPS = 10
 MAX_STEPS = 10000
 DIVERGENCE_CAP = 1e12
+MAX_SQUARINGS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,92 +149,6 @@ class CostReport:
                 "tail_estimate": self.tail_estimate}
 
 
-def _cost_group(pairs):
-    """CostReport of each same-size (plant, controller) pair that passes
-    _size_mismatch.
-
-    Every member steps as one stack and leaves it at the step at which it
-    would stop alone, so its report is the bits of its lone run. Each step
-    runs the lone step's kernels on the stack: the step cost is
-    x'x + mix'mix by two dot products, and the state advances by one
-    matrix-vector product. The stack is re-indexed only on a step at which
-    some member stops.
-    """
-    n = pairs[0][0].n
-    transition, mix_map = _closed_loops(pairs)
-    s = _initial_states([p for p, _ in pairs])
-    total = np.zeros(len(pairs))
-    recent = deque(maxlen=QUIET_STEPS)   # the last step costs, oldest first
-    results = [None] * len(pairs)
-    live = range(len(pairs))     # input positions of the stepping members
-    bound = 0.0                  # no live member's total exceeds it
-    quiet = 0                    # steps in a row with some cost below TOL_ABS
-    for steps_used in range(1, MAX_STEPS + 1):
-        x = s[:, :n]
-        mix = np.matvec(mix_map, s)
-        cost = np.vecdot(x, x) + np.vecdot(mix, mix)
-        # a new array: the in-place += costs twice as much at small m
-        total = total + cost
-        recent.append(cost)
-        costs = cost.tolist()
-        # A member converges once its last QUIET_STEPS step costs are all
-        # below TOL_ABS, so only after that many steps in a row on which the
-        # smallest cost is (Python's min skips a NaN unless it comes first,
-        # and a NaN first counts as small). bound + the largest step cost
-        # rounds to no less than any member's new total, so no member
-        # diverges while the bound is within the cap. The exact rule runs
-        # only when one of these quick tests fails.
-        quiet = 0 if min(costs) >= TOL_ABS else quiet + 1
-        bound += max(costs)
-        if quiet < QUIET_STEPS and bound <= DIVERGENCE_CAP:
-            s = np.matvec(transition, s)
-            continue
-        totals = total.tolist()
-        converged = [False] * len(live) if quiet < QUIET_STEPS else \
-            (np.array(recent) < TOL_ABS).all(axis=0).tolist()
-        keep = []
-        for j, pos in enumerate(live):
-            if totals[j] > DIVERGENCE_CAP:
-                results[pos] = CostReport(
-                    total=float("inf"), steps_used=steps_used, converged=False,
-                    diverged=True, tail_estimate=float("inf"))
-            elif converged[j]:
-                results[pos] = CostReport(
-                    total=totals[j], steps_used=steps_used, converged=True,
-                    diverged=False, tail_estimate=costs[j])
-            else:
-                keep.append(j)
-        if not keep:
-            break
-        bound = max(totals[j] for j in keep)
-        if len(keep) < len(live):
-            live = [live[j] for j in keep]
-            costs = [costs[j] for j in keep]
-            s, transition, mix_map = s[keep], transition[keep], mix_map[keep]
-            total = total[keep]
-            recent = deque((c[keep] for c in recent), maxlen=QUIET_STEPS)
-        s = np.matvec(transition, s)
-    else:
-        for pos, last_total, last_cost in zip(live, total.tolist(), costs):
-            results[pos] = CostReport(
-                total=last_total, steps_used=MAX_STEPS, converged=False,
-                diverged=False, tail_estimate=last_cost)
-    return results
-
-
-def simulate_costs(pairs):
-    """simulate_cost of each (plant, controller) pair, yielded in input
-    order.
-
-    Pairs of one plant size step as one stack (stacks.in_stacks), each
-    member leaving it at the step at which it stops alone, so every report
-    is bit for bit its lone run's. A pair whose controller size differs
-    from its plant's raises DimensionMismatchError at its turn.
-    """
-    return in_stacks(pairs, lambda pair: pair[0].n, _size_mismatch, _cost_group,
-                     lambda pair: simulate_cost(*pair))
-
-
 def simulate_cost(p, k):
     """Accumulate per-step costs until one of three exits.
 
@@ -242,8 +157,111 @@ def simulate_cost(p, k):
     1e12, and total becomes +inf. Neither flag: MAX_STEPS = 10000 steps ran
     out and total is a lower estimate. tail_estimate is the last step cost
     seen, a proxy for the truncation error; below TOL_ABS when converged.
+    It steps a stack of one with np.matvec and np.vecdot, so totals keep
+    the bits these kernels have always given them.
     """
-    return alone((p, k), _size_mismatch, _cost_group)
+    loop = closed_loop(p, k)
+    n = p.n
+    transition, mix_map = loop.transition[None], loop.mix_map[None]
+    s = _initial_states([p])
+    total = 0.0
+    quiet = 0                    # steps in a row with a cost below TOL_ABS
+    for steps_used in range(1, MAX_STEPS + 1):
+        x = s[:, :n]
+        mix = np.matvec(mix_map, s)
+        cost = np.vecdot(x, x).item() + np.vecdot(mix, mix).item()
+        total += cost
+        if total > DIVERGENCE_CAP:
+            return CostReport(float("inf"), steps_used, False, True, float("inf"))
+        quiet = quiet + 1 if cost < TOL_ABS else 0
+        if quiet == QUIET_STEPS:
+            return CostReport(total, steps_used, True, False, cost)
+        s = np.matvec(transition, s)
+    return CostReport(total, MAX_STEPS, False, False, cost)
+
+
+class ExactCost(NamedTuple):
+    """exact_cost's total, its squarings, and whether it diverged (+inf)."""
+    total: float
+    squarings: int
+    diverged: bool
+
+
+def _cost_loops(pairs):
+    """_closed_loops' (transition, mix_map) stacks and the initial states,
+    moved to the coordinates (x, e, w), e = w + C_K x_K = u + w - D_K x.
+
+    A_K and C_K are diagonals, so e' = C_K B_K x + A_K e + (D - A_K) w, and
+    with A_K = D, as in every construction, w drops out: a pole of D on the
+    unit circle is no mode of the loop, not the marginal mode that the cost
+    does not see in (x, w, x_K).
+    """
+    t, mix_map = _closed_loops(pairs)
+    n = pairs[0][0].n
+    x, mid, last = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    d, a_k = t[:, mid, mid], t[:, last, last]
+    moved = np.zeros_like(t)
+    moved[:, x, :2 * n] = t[:, x, :2 * n]                    # A + B D_K, B
+    moved[:, mid, x] = mix_map[:, :, last] @ t[:, last, x]   # C_K B_K
+    moved[:, mid, mid] = a_k
+    moved[:, mid, last] = d - a_k
+    moved[:, last, last] = d
+    mix_map[:, :, last] = 0.0                                # D_K x + e
+    s = _initial_states([p for p, _ in pairs])
+    s[:, last] = s[:, mid]                                   # e0 = w0
+    return moved, mix_map, s
+
+
+def _exact_cost_group(pairs):
+    """ExactCost of each same-size (plant, controller) pair that passes
+    _size_mismatch, by Smith's doubling for the Stein sum.
+
+    W starts as the step cost's form E'E + mix'mix (E selects x), and each
+    squaring W <- W + T'WT, T <- T T doubles the steps it sums; the cost is
+    s0'W s0. A member freezes, masked in its stack, at the first squaring
+    that leaves its W unchanged or makes it non-finite (diverged). One still
+    changing after MAX_SQUARINGS = 64 squarings has not settled in 2^64
+    steps, as any decay rate below 1 in floating point does: diverged too.
+    """
+    t, mix_map, s0 = _cost_loops(pairs)
+    m, n = len(pairs), pairs[0][0].n
+    w = mix_map.transpose(0, 2, 1) @ mix_map
+    w.reshape(m, -1)[:, :n * (3 * n + 1):3 * n + 1] += 1.0
+    live = np.ones(m, dtype=bool)
+    blown = np.zeros(m, dtype=bool)
+    squarings = np.full(m, MAX_SQUARINGS)
+    # a diverged T overflows, and inf times 0 is NaN: neither may warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, MAX_SQUARINGS + 1):
+            new = w + t.transpose(0, 2, 1) @ w @ t
+            ok = np.isfinite(new).all(axis=(1, 2))
+            stop = live & ~(ok & (new != w).any(axis=(1, 2)))
+            squarings[stop] = k
+            blown |= live & ~ok
+            np.copyto(w, new, where=(live & ok)[:, None, None])
+            live &= ~stop
+            if not live.any():
+                break
+            t = t @ t
+        diverged = live | blown
+        totals = np.where(diverged, np.inf, np.vecdot(s0, np.matvec(w, s0)))
+    return [ExactCost(*r) for r in zip(totals.tolist(), squarings.tolist(),
+                                       diverged.tolist())]
+
+
+def exact_costs(pairs):
+    """exact_cost of each (plant, controller) pair, yielded in input order
+    (stacks.in_stacks); a controller of another size than its plant raises
+    DimensionMismatchError at its turn."""
+    return in_stacks(pairs, lambda pair: pair[0].n, _size_mismatch,
+                     _exact_cost_group, lambda pair: exact_cost(*pair))
+
+
+def exact_cost(p, k):
+    """The infinite-horizon cost of plant p under controller k, with no
+    step cap and no tolerance (_exact_cost_group); it raises nothing for a
+    diverged loop."""
+    return alone((p, k), _size_mismatch, _exact_cost_group)
 
 
 def _quadratic_forms(plants, m11, m12, m22):

@@ -22,10 +22,10 @@ from .errors import (
     ZeroGainError,
 )
 from .evaluation import (
-    _cost_group,
     centralized_cost_closed_form,
     deadbeat_cost_closed_forms,
-    simulate_cost,
+    exact_cost,
+    exact_costs,
 )
 from .graphs import sink_masks
 from .plant import (
@@ -276,27 +276,17 @@ def sink_aware(p, g_p):
     return alone((p, g_p), _sink_aware_error, _sink_aware_stack)
 
 
-def _theta_costs(pairs):
-    """The simulated cost of the sink-aware design of each (plant, graph)
-    pair, yielded in order.
-
-    Pairs of one plant size that pass _sink_aware_error are built and
-    stepped as one stack (stacks.in_stacks, _sink_aware_stack,
-    evaluation._cost_group), so only floats outlive a stack; a pair that
-    fails raises at its turn.
-    """
-    def stack_costs(members):
-        built = _sink_aware_stack(members)
-        return [report.total for report in
-                _cost_group([(p, k) for (p, _), k in zip(members, built)])]
-    return in_stacks(pairs, lambda pair: pair[0].n, _sink_aware_error, stack_costs,
-                     lambda pair: simulate_cost(pair[0], sink_aware(*pair)).total)
+def _sink_aware_costs(members):
+    """exact_cost totals of the sink-aware designs of same-size (plant,
+    graph) pairs that pass _sink_aware_error, built and summed as stacks."""
+    built = _sink_aware_stack(members)
+    return [c.total for c in exact_costs(zip((p for p, _ in members), built))]
 
 
 class Strategy(NamedTuple):
     """A design's build(p, g_p) -> Controller and its cost(pairs), which
-    yields J of each (plant, graph) pair in order by the tightest route: a
-    closed form where one exists, else simulating the built controller.
+    yields J of each (plant, graph) pair in order: a closed form where one
+    exists, else the built controller's exact_costs total (+inf diverged).
     Both routes evaluate plants of one size as stacks."""
     build: Callable
     cost: Callable
@@ -313,7 +303,9 @@ STRATEGIES = {
         cost=lambda pairs: deadbeat_cost_closed_forms(p for p, _ in pairs)),
     "theta": Strategy(
         build=lambda p, g_p: sink_aware(p, g_p),
-        cost=lambda pairs: _theta_costs(pairs)),
+        cost=lambda pairs: in_stacks(
+            pairs, lambda pair: pair[0].n, _sink_aware_error, _sink_aware_costs,
+            lambda pair: exact_cost(pair[0], sink_aware(*pair)).total)),
 }
 
 

@@ -161,13 +161,13 @@ def check_deadbeat_cost_match(designs):
     if not designs:
         return _skipped(name)
     worst = 0.0
-    reports = evaluation.simulate_costs(designs)
+    costs = evaluation.exact_costs(designs)
     closed_forms = evaluation.deadbeat_cost_closed_forms(p for p, _ in designs)
-    for report, closed in zip(reports, closed_forms):
-        worst = max(worst, abs(report.total - closed) / (1.0 + closed))
+    for cost, closed in zip(costs, closed_forms):
+        worst = max(worst, abs(cost.total - closed) / (1.0 + closed))
     return CheckResult(name=name, passed=worst <= 1e-9, measured=worst,
                        tolerance=1e-9,
-                       detail=f"max |simulated - closed| / (1 + closed) over "
+                       detail=f"max |doubling sum - closed| / (1 + closed) over "
                               f"{len(designs)} plants")
 
 
@@ -212,10 +212,9 @@ def check_optimal_vs_deadbeat(costs):
         return _skipped(name)
     worst = -np.inf
     violations = 0
-    plants = [p for p, _ in costs]
-    reports = evaluation.simulate_costs(zip(plants, synthesis.deadbeats(plants)))
-    for (_, optimal), report in zip(costs, reports):
-        gap = optimal - report.total
+    deadbeat_costs = evaluation.deadbeat_cost_closed_forms(p for p, _ in costs)
+    for (_, optimal), deadbeat_cost in zip(costs, deadbeat_costs):
+        gap = optimal - deadbeat_cost
         worst = max(worst, gap)
         if gap > 1e-8:
             violations += 1
@@ -287,11 +286,10 @@ def check_sink_domination(seed, count):
     worst_gap = -np.inf
     violations = 0
     pairs = _sampled_plants(seed, count, mode="sink")
-    reports = evaluation.simulate_costs(
-        zip((p for p, _ in pairs), synthesis.sink_awares(pairs)))
+    theta_costs = synthesis.STRATEGIES["theta"].cost(pairs)
     deadbeat_costs = evaluation.deadbeat_cost_closed_forms(p for p, _ in pairs)
-    for report, deadbeat_cost in zip(reports, deadbeat_costs):
-        gap = report.total - deadbeat_cost
+    for theta_cost, deadbeat_cost in zip(theta_costs, deadbeat_costs):
+        gap = theta_cost - deadbeat_cost
         worst_gap = max(worst_gap, gap)
         if gap > 1e-9:
             violations += 1

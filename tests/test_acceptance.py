@@ -65,7 +65,7 @@ def test_full_pass_solves_656_riccati_equations(full_pass):
 
 
 # sha256 of the JSON lines `limoctrl verify --seed 0` writes at full scale
-_PINNED_VERIFY_SHA256 = "83c94930275494ddcb5007b16cfdce3739cb2f98a93d08eb7dd36762479d98d4"
+_PINNED_VERIFY_SHA256 = "19e79b3d5895060d96a40b79861116c4d682c3006a5601c572cf509d6bce6b48"
 
 
 def test_full_pass_bytes_are_pinned(acceptance, pinned_blas):

@@ -20,8 +20,10 @@ ROWS = {
     "BENCH_costs.json": (
         {f"lone_simulate_{design}_n{n}" for design in ("deadbeat", "theta")
          for n in (5, 20, 50, 200)}
+        | {f"lone_exact_cost_{design}_n{n}" for design in ("deadbeat", "theta")
+           for n in (5, 20, 50, 200)}
         | {f"lone_simulate_verify_n{n}" for n in VERIFY_SIZES}
-        | {f"stacked_simulate_verify_n{n}" for n in VERIFY_SIZES}
+        | {f"stacked_exact_cost_verify_n{n}" for n in VERIFY_SIZES}
         | {"lone_design_condition_c10", "stacked_design_condition_c10",
            "lone_design_condition_n200"}
         | {f"lone_{kind}_n{n}" for kind in CONSTRUCTIONS for n in (5, 20, 50, 200)}
@@ -49,7 +51,8 @@ def test_riccati_bench_names_its_rows():
 
 
 @pytest.mark.parametrize("prefix, info", [("lone_simulate_", "steps"),
-                                          ("stacked_simulate_", "plants"),
+                                          ("lone_exact_cost_", "squarings"),
+                                          ("stacked_exact_cost_", "plants"),
                                           ("stacked_design_", "pairs")]
                          + [(f"{form}_{kind}_", "plants")
                             for form in ("lone", "stacked")

@@ -286,3 +286,184 @@ def test_ordering_holds_on_zero_start_ensembles():
         optimal = lc.centralized_cost_closed_form(p, sol)
         assert lc.centralized_lower_bound(p) <= optimal + 1e-8
         assert optimal <= lc.deadbeat_cost_closed_form(p) + 1e-8
+
+
+# The n = 2 sink plant on which theta's simulated cost runs out of steps:
+# the sink's input gain 3e-4 leaves a loop pole near 1, and the cost is
+# admissible at eps_b = 1e-4.
+WITNESS = lc.Plant(A=[[0.5, 0.0], [1.0, 1.0]], b_diag=[1.0, 3e-4],
+                   d_diag=[0.5, 0.9], x0=[1.0, 1.0], w0=[1.0, 1.0])
+WITNESS_GRAPH = lc.from_edge_list(2, [(1, 1), (2, 2), (1, 2)])
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).view(np.uint64).tolist()
+
+
+def _report_bits(r):
+    return (_bits(r.total), r.steps_used, r.converged, r.diverged, _bits(r.tail_estimate))
+
+
+def _stacked_cost_loop(pairs):
+    """evaluation._cost_group as the stacked simulation ran it: every
+    member steps in one stack and leaves it at its own exit."""
+    from collections import deque
+    from limoctrl.evaluation import (DIVERGENCE_CAP, MAX_STEPS, QUIET_STEPS,
+                                     TOL_ABS, _closed_loops, _initial_states)
+    n = pairs[0][0].n
+    transition, mix_map = _closed_loops(pairs)
+    s = _initial_states([p for p, _ in pairs])
+    total = np.zeros(len(pairs))
+    recent = deque(maxlen=QUIET_STEPS)
+    results = [None] * len(pairs)
+    live = range(len(pairs))
+    bound = 0.0
+    quiet = 0
+    for steps_used in range(1, MAX_STEPS + 1):
+        x = s[:, :n]
+        mix = np.matvec(mix_map, s)
+        cost = np.vecdot(x, x) + np.vecdot(mix, mix)
+        total = total + cost
+        recent.append(cost)
+        costs = cost.tolist()
+        quiet = 0 if min(costs) >= TOL_ABS else quiet + 1
+        bound += max(costs)
+        if quiet < QUIET_STEPS and bound <= DIVERGENCE_CAP:
+            s = np.matvec(transition, s)
+            continue
+        totals = total.tolist()
+        converged = [False] * len(live) if quiet < QUIET_STEPS else \
+            (np.array(recent) < TOL_ABS).all(axis=0).tolist()
+        keep = []
+        for j, pos in enumerate(live):
+            if totals[j] > DIVERGENCE_CAP:
+                results[pos] = lc.CostReport(math.inf, steps_used, False, True, math.inf)
+            elif converged[j]:
+                results[pos] = lc.CostReport(totals[j], steps_used, True, False, costs[j])
+            else:
+                keep.append(j)
+        if not keep:
+            break
+        bound = max(totals[j] for j in keep)
+        if len(keep) < len(live):
+            live = [live[j] for j in keep]
+            costs = [costs[j] for j in keep]
+            s, transition, mix_map = s[keep], transition[keep], mix_map[keep]
+            total = total[keep]
+            recent = deque((c[keep] for c in recent), maxlen=QUIET_STEPS)
+        s = np.matvec(transition, s)
+    else:
+        for pos, last_total, last_cost in zip(live, total.tolist(), costs):
+            results[pos] = lc.CostReport(last_total, MAX_STEPS, False, False, last_cost)
+    return results
+
+
+def test_simulate_cost_keeps_the_stacked_loop_bits_at_each_exit():
+    rng = np.random.default_rng(8)
+    converged = []
+    for n in (1, 2, 3, 5, 20):
+        p, g = _sink_plant(rng, n, 0.5 if n <= 5 else 0.1)
+        converged += [(p, lc.deadbeat(p)), (p, lc.sink_aware(p, g))]
+    out_of_steps = (WITNESS, lc.sink_aware(WITNESS, WITNESS_GRAPH))
+    unstable = lc.Plant(A=[[1.5, 0.0], [1.0, 0.5]], b_diag=[1.0, 2.0],
+                        d_diag=[0.5, -0.3], x0=[1.0, 0.5], w0=[0.2, 1.0])
+    weak = lc.Controller(a_diag=[0.2, 0.3], B_K=[[0.1, 0.0], [0.0, 0.1]],
+                         c_diag=[1.0, 1.0], D_K=[[-0.1, 0.0], [0.0, -0.1]])
+    for p, k in converged + [out_of_steps, (unstable, weak)]:
+        report = lc.simulate_cost(p, k)
+        assert _report_bits(report) == _report_bits(_stacked_cost_loop([(p, k)])[0])
+    assert all(lc.simulate_cost(p, k).converged for p, k in converged)
+    report = lc.simulate_cost(*out_of_steps)
+    assert (report.total, report.steps_used, report.tail_estimate) == \
+        (9014510.416585168, 10000, 0.012699782040917429)
+    assert not report.converged and not report.diverged
+    report = lc.simulate_cost(unstable, weak)
+    assert report.diverged and report.total == math.inf
+
+
+def _float_loop_cost(p, k, steps=1 << 20, block=1 << 10):
+    """The sum of x'x + (u+w)'(u+w) over the first `steps` steps of the loop,
+    assembled here with np.block in (x, w, x_K). Each block of steps takes
+    the powers T^j, j < block, built by repeated products, to its first
+    state; the block's last power steps to the next block."""
+    n = p.n
+    zeros = np.zeros((n, n))
+    t = np.block([[p.A + p.b_diag[:, None] * k.D_K, np.diag(p.b_diag),
+                   p.b_diag[:, None] * k.C_K],
+                  [zeros, np.diag(p.d_diag), zeros],
+                  [k.B_K, zeros, k.A_K]])
+    mix_map = np.hstack([k.D_K, np.eye(n), k.C_K])
+    powers = [np.eye(3 * n)]
+    for _ in range(block):
+        powers.append(t @ powers[-1])
+    powers = np.array(powers)
+    s = np.concatenate([p.x0, p.w0, np.zeros(n)])
+    costs = []
+    for _ in range(steps // block):
+        states = powers[:block] @ s
+        mix = states @ mix_map.T
+        costs += ((states[:, :n] ** 2).sum(axis=1) + (mix ** 2).sum(axis=1)).tolist()
+        s = powers[block] @ s
+    return math.fsum(costs)
+
+
+def test_exact_cost_of_the_witness_matches_a_long_float_loop():
+    k = lc.sink_aware(WITNESS, WITNESS_GRAPH)
+    oracle = _float_loop_cost(WITNESS, k)
+    cost = lc.exact_cost(WITNESS, k)
+    assert not cost.diverged and cost.squarings < lc.evaluation.MAX_SQUARINGS
+    assert cost.total == pytest.approx(oracle, rel=1e-12)
+    assert lc.ratio.strategy_cost(WITNESS, "theta", WITNESS_GRAPH) == cost.total
+    # the simulation stops 2.3e-6 short
+    assert oracle - lc.simulate_cost(WITNESS, k).total > 1e-6 * oracle
+
+
+@pytest.mark.parametrize("n", [2, 5, 20, 50])
+def test_exact_cost_matches_the_converged_simulation(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(4 if n <= 5 else 2):
+        p, g = _sink_plant(rng, n, 0.5 if n <= 5 else 0.1)
+        for k in (lc.deadbeat(p), lc.sink_aware(p, g), lc.centralized_optimal(p)):
+            report = lc.simulate_cost(p, k)
+            assert report.converged
+            cost = lc.exact_cost(p, k)
+            assert not cost.diverged
+            assert cost.total == pytest.approx(report.total, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1.0, -1.0])
+def test_exact_cost_with_disturbance_poles_on_the_unit_circle(d):
+    # with D = +-I the disturbance never decays, and the designs cancel it:
+    # in (x, w, x_K) a marginal mode that the cost does not see, which
+    # doubling there amplifies until W is garbage
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            sampled, g = _sink_plant(rng, n, 0.5)
+            p = lc.Plant(A=sampled.A, b_diag=sampled.b_diag, d_diag=d * np.ones(n),
+                         x0=sampled.x0, w0=sampled.w0)
+            for k in (lc.deadbeat(p), lc.sink_aware(p, g)):
+                cost = lc.exact_cost(p, k)
+                assert not cost.diverged and cost.squarings < 10
+                report = lc.simulate_cost(p, k)
+                assert report.converged
+                assert cost.total == pytest.approx(report.total, rel=1e-14)
+            assert lc.exact_cost(p, lc.deadbeat(p)).total == pytest.approx(
+                lc.deadbeat_cost_closed_form(p), rel=1e-14)
+
+
+def test_exact_cost_hand_examples():
+    two = lc.exact_cost(scalar_plant(1.0, 1.0, 0.0, x0=1.0),
+                        lc.deadbeat(scalar_plant(1.0, 1.0, 0.0, x0=1.0)))
+    assert two == (2.0, 2, False)
+    # a stable scalar loop: sum of 0.25^t
+    assert lc.exact_cost(scalar_plant(0.5, 1.0, 0.0, x0=1.0),
+                         zero_controller(1)).total == pytest.approx(4.0 / 3.0, rel=1e-15)
+    # unstable, and marginal with a unit cost every step: no finite sum
+    for a in (2.0, 1.0):
+        cost = lc.exact_cost(scalar_plant(a, 1.0, 0.0, x0=1.0), zero_controller(1))
+        assert cost.diverged and cost.total == math.inf
+    assert lc.exact_cost(scalar_plant(1.0, 1.0, 0.0, x0=1.0),
+                         zero_controller(1)).squarings == lc.evaluation.MAX_SQUARINGS
+    with pytest.raises(lc.DimensionMismatchError):
+        lc.exact_cost(FLIP_PLANT, zero_controller(3))

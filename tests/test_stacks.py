@@ -20,11 +20,6 @@ def _bits(value):
     return np.asarray(value, dtype=float).view(np.uint64).tolist()
 
 
-def _report_bits(report):
-    return (_bits(report.total), report.steps_used, report.converged,
-            report.diverged, _bits(report.tail_estimate))
-
-
 def _shuffled(items, seed):
     items = list(items)
     random.Random(seed).shuffle(items)
@@ -56,60 +51,70 @@ def _until_error(stream):
     return out, info.value
 
 
+def _cost_bits(cost):
+    return (_bits(cost.total), cost.squarings, cost.diverged)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_simulate_costs_match_the_lone_runs(seed):
-    pairs = [(p, lc.sink_aware(p, g) if k % 2 else lc.deadbeat(p))
-             for k, (p, g) in enumerate(_mixed_pairs(seed))]
-    stacked = list(lc.simulate_costs(pairs))
-    assert [_report_bits(r) for r in stacked] == \
-        [_report_bits(lc.simulate_cost(p, k)) for p, k in pairs]
+def test_exact_costs_match_the_lone_costs(seed):
+    # criterion 07a's sink ensemble, its sink-aware and deadbeat designs
+    pairs = verify._sampled_plants(seed + 4000, 200, mode="sink")
+    designs = _shuffled([(p, k) for (p, _), k in zip(pairs, lc.sink_awares(pairs))]
+                        + [(p, lc.deadbeat(p)) for p, _ in pairs], seed)
+    assert [_cost_bits(c) for c in lc.exact_costs(designs)] == \
+        [_cost_bits(lc.exact_cost(p, k)) for p, k in designs]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_each_exit_leaves_the_stack_at_its_own_step():
-    # converged, diverged and out of steps, interleaved with 2x2 plants: a
-    # diverged member left in the stack would overflow long before the
-    # marginal member runs out of its 10000 steps, and warn
-    converged = (_scalar(1.0), lc.deadbeat(_scalar(1.0)))
+    # converged, diverged by overflow and diverged at the squaring cap,
+    # interleaved with 2x2 plants: a diverged member's T overflows to inf
+    # and NaN in the stack, which must neither warn nor touch its mates
+    converged = (_scalar(0.5), lc.deadbeat(_scalar(0.5)))
     diverged = (_scalar(2.0), _zero_controller(1))
     marginal = (_scalar(1.0), _zero_controller(1))
+    slow = (_scalar(0.999), _zero_controller(1))
     p2 = lc.worst_case_family(1, 2, 3.0, 1.0, 2)
     pairs = [marginal, (p2, lc.deadbeat(p2)), diverged, converged,
-             (p2, _zero_controller(2)), diverged, converged]
-    reports = list(lc.simulate_costs(pairs))
-    assert [_report_bits(r) for r in reports] == \
-        [_report_bits(lc.simulate_cost(p, k)) for p, k in pairs]
-    flags = [(r.converged, r.diverged) for r in reports]
-    assert flags[0] == (False, False) and reports[0].steps_used == lc.evaluation.MAX_STEPS
-    assert flags[2] == flags[5] == (False, True)
-    assert flags[3] == flags[6] == (True, False)
-    assert reports[2].total == math.inf
+             (p2, _zero_controller(2)), slow, diverged, converged]
+    costs = list(lc.exact_costs(pairs))
+    assert [_cost_bits(c) for c in costs] == \
+        [_cost_bits(lc.exact_cost(p, k)) for p, k in pairs]
+    mates = [pair for pair, c in zip(pairs, costs) if not c.diverged]
+    assert [_cost_bits(c) for c in costs if not c.diverged] == \
+        [_cost_bits(c) for c in lc.exact_costs(mates)]
+    # the zero controller leaves the family's constant disturbance in u + w
+    assert [c.diverged for c in costs] == [True, False, True, False, True, False, True, False]
+    assert costs[0].total == costs[2].total == math.inf
+    assert costs[0].squarings == lc.evaluation.MAX_SQUARINGS
+    # each member froze at its own squaring
+    assert costs[3].squarings < costs[5].squarings < lc.evaluation.MAX_SQUARINGS
 
 
-def test_simulate_costs_raise_a_size_mismatch_at_its_turn():
+def test_exact_costs_raise_a_size_mismatch_at_its_turn():
     p2 = lc.worst_case_family(1, 2, 3.0, 1.0, 2)
     pairs = [(p2, lc.deadbeat(p2)), (_scalar(0.5), lc.deadbeat(_scalar(0.5))),
              (p2, _zero_controller(3)), (p2, lc.deadbeat(p2))]
-    out, error = _until_error(lc.simulate_costs(pairs))
+    out, error = _until_error(lc.exact_costs(pairs))
     assert isinstance(error, lc.DimensionMismatchError)
-    assert [_report_bits(r) for r in out] == \
-        [_report_bits(lc.simulate_cost(p, k)) for p, k in pairs[:2]]
+    assert [_cost_bits(c) for c in out] == \
+        [_cost_bits(lc.exact_cost(p, k)) for p, k in pairs[:2]]
 
 
 def test_no_stack_behind_the_first_failure_is_evaluated(monkeypatch):
     evaluated = []
-    group = evaluation._cost_group
+    group = evaluation._exact_cost_group
 
     def recorded(pairs):
         evaluated.append([p.n for p, _ in pairs])
         return group(pairs)
 
-    monkeypatch.setattr(evaluation, "_cost_group", recorded)
+    monkeypatch.setattr(evaluation, "_exact_cost_group", recorded)
     p2 = lc.worst_case_family(1, 2, 3.0, 1.0, 2)
     p3 = lc.worst_case_family(1, 2, 3.0, 1.0, 3)
     good2, good3 = (p2, lc.deadbeat(p2)), (p3, lc.deadbeat(p3))
     bad2 = (p2, _zero_controller(1))
-    out, error = _until_error(lc.simulate_costs([good2, bad2, good2, good3, good3]))
+    out, error = _until_error(lc.exact_costs([good2, bad2, good2, good3, good3]))
     assert isinstance(error, lc.DimensionMismatchError) and len(out) == 1
     # the n = 2 stack ran without its bad member, whose error was held
     # back to its turn; the n = 3 stack, whose first member comes after
