@@ -20,6 +20,9 @@ its stacked form.
 BENCH_riccati.json, each row in seconds per solved plant:
   lone_family_n{2,30,60,200}  solve_singular_dare on
       worst_case_family(1, 2, 150, 1.0, n), with its iteration count
+  lone_sink_n{20,50,100}  solve_singular_dare on the first seed-1 plant of
+      size n of the ensemble workloads (see lone_simulate_*), with its
+      iteration count; no vertex of these plants is dead
   lone_verify_n{1..5}  solve_singular_dare on each plant of size n among
       verify._sampled_plants(2000, 200), with the plant count and the
       summed iteration count
@@ -37,6 +40,13 @@ BENCH_costs.json, each row in seconds per plant or per graph pair:
       designs of lone_simulate_{deadbeat,theta}_n{n}, with its squarings
   stacked_exact_cost_verify_n{1..5}  exact_costs on the pairs of
       lone_simulate_verify_n{n} as one call, as criterion 02 sums them
+  lone_deadbeat_cost_family_n60  deadbeat_cost_closed_form on
+      worst_case_family(1, 2, 150, 1.0, 60)
+  lone_deadbeat_cost_sink_n200  deadbeat_cost_closed_form on the first
+      seed-1 ensemble plant of size 200
+  stacked_deadbeat_cost_verify_n{1..5}  deadbeat_cost_closed_forms on the
+      plants of lone_simulate_verify_n{n} as one call, as criterion 02
+      reads them
   A tree without exact_cost and exact_costs times in their place the
   simulate_cost and simulate_costs calls they replace.
   lone_design_condition_c10  design_condition_applies on each of verify's
@@ -80,11 +90,13 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAMILY_SIZES = (2, 30, 60, 200)
+SINK_SIZES = (20, 50, 100)
 VERIFY_SIZES = (1, 2, 3, 4, 5)
 ENSEMBLE_SIZES = (5, 20, 50, 200)
 FILES = {
     "BENCH_riccati.json": (
         [f"lone_family_n{n}" for n in FAMILY_SIZES]
+        + [f"lone_sink_n{n}" for n in SINK_SIZES]
         + [f"lone_verify_n{n}" for n in VERIFY_SIZES]
         + [f"stacked_verify_n{n}" for n in VERIFY_SIZES]),
     "BENCH_costs.json": (
@@ -94,6 +106,8 @@ FILES = {
            for n in ENSEMBLE_SIZES]
         + [f"lone_simulate_verify_n{n}" for n in VERIFY_SIZES]
         + [f"stacked_exact_cost_verify_n{n}" for n in VERIFY_SIZES]
+        + ["lone_deadbeat_cost_family_n60", "lone_deadbeat_cost_sink_n200"]
+        + [f"stacked_deadbeat_cost_verify_n{n}" for n in VERIFY_SIZES]
         + ["lone_design_condition_c10", "stacked_design_condition_c10",
            "lone_design_condition_n200"]
         + [f"{form}_{kind}{where}_n{n}"
@@ -129,6 +143,11 @@ def _riccati_cases(lc):
     for n in FAMILY_SIZES:
         p = riccati.augment(lc.plant.worst_case_family(1, 2, 150, 1.0, n))
         cases[f"lone_family_n{n}"] = (
+            lambda p=p: riccati.solve_singular_dare(p), 1,
+            {"iterations": riccati.solve_singular_dare(p).iterations})
+    for n in SINK_SIZES:
+        p = riccati.augment(_ensemble_plant(lc, n)[0])
+        cases[f"lone_sink_n{n}"] = (
             lambda p=p: riccati.solve_singular_dare(p), 1,
             {"iterations": riccati.solve_singular_dare(p).iterations})
     plants = [riccati.augment(p) for p, _ in lc.verify._sampled_plants(2000, 200)]
@@ -208,6 +227,14 @@ def _cost_cases(lc):
         cases[f"stacked_exact_cost_verify_n{n}"] = None if stacked is None else (
             lambda g=group, f=stacked: list(f(g)), len(group),
             {"plants": len(group)})
+        plants = [p for p, _ in group]
+        cases[f"stacked_deadbeat_cost_verify_n{n}"] = (
+            lambda g=plants: list(ev.deadbeat_cost_closed_forms(g)), len(plants),
+            {"plants": len(plants)})
+    for name, p in (("family_n60", lc.plant.worst_case_family(1, 2, 150, 1.0, 60)),
+                    ("sink_n200", _ensemble_plant(lc, 200)[0])):
+        cases[f"lone_deadbeat_cost_{name}"] = (
+            lambda p=p: ev.deadbeat_cost_closed_form(p), 1, {"plants": 1})
     graphs = lc.graphs
     c10 = _criterion_10_pairs(lc)
     cases["lone_design_condition_c10"] = (

@@ -183,11 +183,23 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose --help text is written as every output is
+    (_emit), so that a closed stdout ends it with exit code 141 too, where
+    argparse would drop the error or leave it to the flush at exit."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on the first call and reused by every later
     main() in the same process."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="limoctrl",
         description="Synthesis and competitive-ratio experiments for "
                     "limited-information disturbance-rejection controllers.")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .plant import zero_gain_error
-from .stacks import alone, diagonals, in_stacks, stack
+from .stacks import alone, in_stacks, stack
 
 TOL_ABS = 1e-12
 QUIET_STEPS = 10
@@ -274,23 +274,41 @@ def _quadratic_forms(plants, m11, m12, m22):
     return np.vecdot(v, np.concatenate([top, bot], axis=1)).tolist()
 
 
-def _model_stacks(plants):
-    """A, diag(D) and diag(1 / b^2) of plants of one size, as (m, n, n)
-    stacks."""
-    a = stack([p.A for p in plants])
-    b = stack([p.b_diag for p in plants])
-    dm = diagonals(stack([p.d_diag for p in plants]))
-    return a, b, dm, diagonals(1.0 / (b * b))
+def _model_rows(plants):
+    """The (m, n, n) stack of A, and diag(B) and diag(D) as (m, n) rows,
+    of plants of one size."""
+    return (stack([p.A for p in plants]), stack([p.b_diag for p in plants]),
+            stack([p.d_diag for p in plants]))
+
+
+def _diagonal(stacked):
+    """The (m, n) view of the diagonals of an (m, n, n) C-ordered stack."""
+    m, n = stacked.shape[:2]
+    return stacked.reshape(m, n * n)[:, ::n + 1]
 
 
 def _deadbeat_group(plants):
-    a, _, dm, bi2 = _model_stacks(plants)
-    eye = np.eye(plants[0].n)
-    at_bi2 = a.transpose(0, 2, 1) @ bi2
-    q11 = eye + dm @ dm @ (eye + bi2) + at_bi2 @ a \
-        + dm @ at_bi2 @ a @ dm + at_bi2 @ dm + dm @ bi2 @ a
-    q12 = -dm - at_bi2 - dm @ bi2 - dm @ at_bi2 @ a
-    q22 = at_bi2 @ a + bi2 + eye
+    # q11 = I + D^2 (I + B^-2) + A'B^-2 A + D A'B^-2 A D + A'B^-2 D + D B^-2 A
+    # q12 = -D - A'B^-2 - D B^-2 - D A'B^-2 A
+    # q22 = A'B^-2 A + B^-2 + I
+    # summed in this order, each product with D or B^-2 a broadcast; the
+    # operands of the two matrix products are C-ordered, as BLAS sums an
+    # F-ordered operand in another order
+    a, b, d = _model_rows(plants)
+    bi2 = 1.0 / (b * b)
+    at_bi2 = np.multiply(a.transpose(0, 2, 1), bi2[:, None, :], order="C")
+    at_bi2_a = at_bi2 @ a
+    d_at_bi2_a = (d[:, :, None] * at_bi2) @ a
+    q22 = at_bi2_a.copy()
+    _diagonal(q22)[:] = _diagonal(at_bi2_a) + bi2 + 1.0
+    q11 = at_bi2_a
+    _diagonal(q11)[:] += 1.0 + d * d * (1.0 + bi2)
+    q11 += d_at_bi2_a * d[:, None, :]
+    q11 += at_bi2 * d[:, None, :]
+    q11 += (d * bi2)[:, :, None] * a
+    q12 = np.negative(at_bi2)
+    _diagonal(q12)[:] = -d - _diagonal(at_bi2) - d * bi2
+    q12 -= d_at_bi2_a
     return _quadratic_forms(plants, q11, q12, q22)
 
 
@@ -305,17 +323,30 @@ def deadbeat_cost_closed_forms(plants):
 
 def deadbeat_cost_closed_form(p):
     """Exact cost of the deadbeat controller as a quadratic form in
-    (x0, B w0); finite for every admissible plant."""
+    (x0, B w0); finite for every admissible plant.
+
+    The form's blocks take two n^3 products, A'B^-2 A and (D A'B^-2) A;
+    every other product is with the diagonal D or B^-2, and is taken as a
+    broadcast of the diagonal, each entry rounded once, as the product
+    with the dense diagonal matrix rounds it."""
     return alone(p, zero_gain_error, _deadbeat_group)
 
 
 def _lower_bound_group(plants):
-    a, b, dm, bi2 = _model_stacks(plants)
-    eye = np.eye(plants[0].n)
-    w_mat = a.transpose(0, 2, 1) @ ((1.0 / (1.0 + b * b))[:, :, None] * a) + eye
-    v11 = w_mat + dm @ dm @ bi2 + dm @ w_mat @ dm
-    v12 = -dm @ (w_mat + bi2)
-    v22 = w_mat + bi2
+    # W = A'(I + B^2)^-1 A + I and, with D and B^-2 broadcast as in
+    # _deadbeat_group, v11 = W + D^2 B^-2 + D W D, v12 = -D (W + B^-2),
+    # v22 = W + B^-2
+    a, b, d = _model_rows(plants)
+    bi2 = 1.0 / (b * b)
+    w_mat = a.transpose(0, 2, 1) @ ((1.0 / (1.0 + b * b))[:, :, None] * a)
+    _diagonal(w_mat)[:] += 1.0
+    v22 = w_mat.copy()
+    _diagonal(v22)[:] += bi2
+    dwd = d[:, :, None] * w_mat * d[:, None, :]
+    v11 = w_mat
+    _diagonal(v11)[:] += d * d * bi2
+    v11 += dwd
+    v12 = -d[:, :, None] * v22
     return _quadratic_forms(plants, v11, v12, v22)
 
 
@@ -333,7 +364,9 @@ def centralized_lower_bound(p):
     design's cost, centralized_cost_closed_form (acceptance criterion 04a).
 
     It is no floor under other designs' costs: with x0 != 0 the deadbeat
-    design can cost less than this form.
+    design can cost less than this form. Its one n^3 product is
+    A'(I + B^2)^-1 A; D and B^-2 enter as broadcasts of their diagonals,
+    as in deadbeat_cost_closed_form.
     """
     return alone(p, zero_gain_error, _lower_bound_group)
 

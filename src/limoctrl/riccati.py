@@ -16,6 +16,19 @@ iteration from X = I step for step, and keeps P, the gains and P's own
 Riccati defect: it builds no 2n-dim array. X is lifted from P only when a
 caller reads a solution's X.
 
+A dead subsystem is a vertex whose row and column of A are zero: its
+entries of the fixed point are exactly P = 1 on the diagonal and zero off
+it, with no gain into or out of it. A plant too large to share a stack
+(2 n^2 > stacks.STACK_ENTRIES, n >= 46) has those entries written and is
+iterated on its core, the other vertices. A smaller plant is iterated on
+all n vertices: cutting it would split its stack by core size (26 to 33%
+slower per plant on verify's stacks), or, with one core for the stack,
+make a member's bits depend on its stack-mates, since BLAS and LAPACK sum
+a smaller matrix's products in another order. So on a large plant with a
+dead vertex P can differ from the n-dim iteration's in the last places
+(tens to hundreds of ulps at n = 60); the worst-case family keeps the
+bits of the n = 2 family, its core, at every n.
+
 Plants of one size n are solved together, as (m, n, n) stacks with one
 member per plant. Each member leaves the stack at the step at which it
 would stop alone, under the same rule, and a lone solve is a stack of one,
@@ -33,7 +46,7 @@ from .errors import (
     ZeroGainError,
 )
 from .plant import Plant, require_finite_model, require_nonzero_gains, worst_case_family
-from .stacks import alone, in_stacks
+from .stacks import STACK_ENTRIES, alone, diagonals, in_stacks
 
 _MACH_EPS = float(np.finfo(float).eps)
 # |P'| <= |P| + |P' - P| entrywise, and the computed step change is within
@@ -114,14 +127,55 @@ def _solve_group(plants, tol, max_iter):
     accepts as one (m, n, n) stack; returns, in order, each plant's
     DareSolution or the NoConvergenceError that solving it alone raises.
 
+    A plant too large to share a stack is iterated on its core only, and
+    P = I, G1 = 0 and G2 = -D are written on its dead vertices; any other
+    stack is iterated on all n vertices.
+    """
+    a = np.array([p.A for p in plants])
+    b = np.array([p.b_diag for p in plants])
+    d = np.array([p.d_diag for p in plants])
+    m, n = b.shape
+    core = None
+    if 2 * n * n > STACK_ENTRIES:
+        # in_stacks gives a plant this large a stack of its own, so the
+        # stack's core, the union over its members, is the plant's
+        nonzero = a != 0
+        live = nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))
+        # A = 0: a core of one dead vertex, on which the loop stops at
+        # step 2 with residual 0, as it does on any A = 0
+        live[0] |= not live.any()
+        if not live.all():
+            core = np.flatnonzero(live)
+    if core is None:
+        p_mat, g1, g2, iterations, residuals, failed = _iterate(
+            a, b, d, tol, max_iter)
+    else:
+        block = (slice(None), core[:, None], core)
+        p_core, g1_core, g2_core, iterations, residuals, failed = _iterate(
+            np.ascontiguousarray(a[block]), b[:, core], d[:, core], tol,
+            max_iter)
+        p_mat = np.tile(np.eye(n), (m, 1, 1))
+        g1 = np.zeros((m, n, n))
+        g2 = diagonals(-d)
+        p_mat[block], g1[block], g2[block] = p_core, g1_core, g2_core
+    return [error or DareSolution(P=pj, G1=g1j, G2=g2j, iterations=steps_j,
+                                  residual=residual, plant=p)
+            for error, p, pj, g1j, g2j, steps_j, residual
+            in zip(failed, plants, p_mat, g1, g2, iterations, residuals)]
+
+
+def _iterate(a, b, d, tol, max_iter):
+    """The value iteration on (m, n, n) stacks a of A and (m, n) rows b and
+    d of diag(B) and diag(D): each member's P, G1, G2, iterations,
+    residual, and None or the NoConvergenceError that solving it alone
+    raises.
+
     Each member leaves the stack at its own stopping step, so its
     iterations match a lone solve step for step. The stack is re-indexed
     only on a step at which some member stops or fails, so a lone solve
     does no indexing.
     """
-    m, n = len(plants), plants[0].n
-    a = np.array([p.A for p in plants])
-    b = np.array([p.b_diag for p in plants])
+    m, n = b.shape
     b_cols, b_rows = b[:, :, None], b[:, None, :]
     # loop invariants: at n <= 5 a step is a dozen microsecond-sized numpy
     # calls, so rebuilding these each step is a visible share of a solve;
@@ -193,11 +247,8 @@ def _solve_group(plants, tol, max_iter):
     # minus D: a stride of n + 1 walks each member's diagonal, and the
     # entries off it are left as they are, as x - 0.0 leaves them
     g2_diag = g2.reshape(m, n * n)[:, ::n + 1]
-    np.subtract(g2_diag, [p.d_diag for p in plants], out=g2_diag)
-    return [error or DareSolution(P=pj, G1=g1j, G2=g2j, iterations=steps_j,
-                                  residual=residual, plant=p)
-            for error, p, pj, g1j, g2j, steps_j, residual
-            in zip(failed, plants, p_final, g1, g2, iterations, residuals)]
+    np.subtract(g2_diag, d, out=g2_diag)
+    return p_final, g1, g2, iterations, residuals, failed
 
 
 def solve_singular_dares(plants, tol=1e-12, max_iter=100000):
@@ -227,6 +278,13 @@ def solve_singular_dare(p, tol=1e-12, max_iter=100000):
     on the augmented pair A~ = [[A, B], [0, D]], B~ = [[0], [I]] of plant p,
     found by value-iterating the n-dim (A, B, I, I) DARE for P from P = 0
     until P's step change drops below tol.
+
+    A plant of n >= 46 is iterated on its core only, the vertices whose
+    row or column of A holds a nonzero (see the module docstring). On a
+    dead vertex P is 1 on the diagonal, G1 is zero and G2 is -d_ii on its
+    row and column; its step change is 1 at step 1 and 0 after, so the
+    iterations and the residual are the core's, and with A = 0 they are 2
+    and 0.
 
     The absolute tolerance is unreachable once entries of P exceed about
     1e4 (one ulp is then larger than tol), so an iterate that is stationary

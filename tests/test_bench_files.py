@@ -15,6 +15,7 @@ CONSTRUCTIONS = ("sample", "deadbeat", "sink_aware")
 ROWS = {
     "BENCH_riccati.json": (
         {f"lone_family_n{n}" for n in (2, 30, 60, 200)}
+        | {f"lone_sink_n{n}" for n in (20, 50, 100)}
         | {f"lone_verify_n{n}" for n in VERIFY_SIZES}
         | {f"stacked_verify_n{n}" for n in VERIFY_SIZES}),
     "BENCH_costs.json": (
@@ -24,6 +25,8 @@ ROWS = {
            for n in (5, 20, 50, 200)}
         | {f"lone_simulate_verify_n{n}" for n in VERIFY_SIZES}
         | {f"stacked_exact_cost_verify_n{n}" for n in VERIFY_SIZES}
+        | {"lone_deadbeat_cost_family_n60", "lone_deadbeat_cost_sink_n200"}
+        | {f"stacked_deadbeat_cost_verify_n{n}" for n in VERIFY_SIZES}
         | {"lone_design_condition_c10", "stacked_design_condition_c10",
            "lone_design_condition_n200"}
         | {f"lone_{kind}_n{n}" for kind in CONSTRUCTIONS for n in (5, 20, 50, 200)}

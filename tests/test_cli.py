@@ -177,6 +177,34 @@ def test_closed_stdout_ends_quietly(files, unbuffered):
     assert proc.returncode == EXIT_CLOSED_STDOUT == 141
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("args", [["--help"], ["synthesize", "--help"]])
+def test_help_to_a_closed_stdout_ends_quietly(args, unbuffered):
+    # argparse writes the help and exits inside parse_args; buffered, the
+    # write failed only at the flush at exit, unbuffered argparse dropped it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lc.__file__)))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "limoctrl.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_CLOSED_STDOUT
+
+
+def test_help_is_written_to_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synthesize", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: limoctrl synthesize")
+    assert out.err == ""
+
+
 def test_synthesize_refuses_inadmissible_plant(files, capsys):
     rc = main(["synthesize", "--plant", str(files["plant"]),
                "--graph", str(files["loops"]), "--strategy", "deadbeat"])

@@ -467,3 +467,73 @@ def test_exact_cost_hand_examples():
                          zero_controller(1)).squarings == lc.evaluation.MAX_SQUARINGS
     with pytest.raises(lc.DimensionMismatchError):
         lc.exact_cost(FLIP_PLANT, zero_controller(3))
+
+
+# ------------------------------------------- closed forms, dense-diagonal pin
+
+def _dense_diagonal_forms(p):
+    """deadbeat_cost_closed_form and centralized_lower_bound of p, as they
+    were written with D, B^-2 and I as dense (1, n, n) matrices and every
+    product with them a matrix product."""
+    n = p.n
+    a, b, d = p.A[None], p.b_diag[None], p.d_diag[None]
+    dm = np.zeros((1, n, n))
+    dm[:, range(n), range(n)] = d
+    bi2 = np.zeros((1, n, n))
+    bi2[:, range(n), range(n)] = 1.0 / (b * b)
+    eye = np.eye(n)
+
+    def form(m11, m12, m22):
+        v = np.concatenate([p.x0, p.b_diag * p.w0])[None]
+        top = np.matvec(m11, v[:, :n]) + np.matvec(m12, v[:, n:])
+        bot = np.matvec(m12.transpose(0, 2, 1), v[:, :n]) + np.matvec(m22, v[:, n:])
+        return np.vecdot(v, np.concatenate([top, bot], axis=1)).item()
+
+    at_bi2 = a.transpose(0, 2, 1) @ bi2
+    q11 = eye + dm @ dm @ (eye + bi2) + at_bi2 @ a \
+        + dm @ at_bi2 @ a @ dm + at_bi2 @ dm + dm @ bi2 @ a
+    q12 = -dm - at_bi2 - dm @ bi2 - dm @ at_bi2 @ a
+    q22 = at_bi2 @ a + bi2 + eye
+    w_mat = a.transpose(0, 2, 1) @ ((1.0 / (1.0 + b * b))[:, :, None] * a) + eye
+    v11 = w_mat + dm @ dm @ bi2 + dm @ w_mat @ dm
+    v12 = -dm @ (w_mat + bi2)
+    v22 = w_mat + bi2
+    return form(q11, q12, q22), form(v11, v12, v22)
+
+
+def _ensemble_sink_plant(n):
+    """The first seed-1 plant of size n of the sink-graph ensembles: cross
+    edges at density 0.2, self-loops, one sink vertex that another feeds."""
+    rng = np.random.default_rng([1, n, 0])
+    mask = (rng.random((n, n)) < 0.2).astype(np.int8)
+    np.fill_diagonal(mask, 1)
+    v = int(rng.integers(n))
+    mask[:, v] = 0
+    mask[v, v] = 1
+    u = int(rng.integers(n - 1))
+    mask[v, u + (u >= v)] = 1
+    return lc.Plant(A=rng.uniform(-2.0, 2.0, (n, n)) * mask,
+                    b_diag=np.where(rng.random(n) < 0.5, -1.0, 1.0)
+                    * (1.0 + rng.uniform(0.0, 2.0, n)),
+                    d_diag=rng.uniform(-1.0, 1.0, n),
+                    x0=rng.standard_normal(n), w0=rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("plants", [
+    pytest.param(lambda: [_ensemble_sink_plant(n) for n in (5, 20, 50, 100, 200)],
+                 id="ensemble"),
+    pytest.param(lambda: [p for p, _ in lc.verify._sampled_plants(2000, 200)],
+                 id="verify"),
+    pytest.param(lambda: [lc.worst_case_family(1, 2, r, eps_b, n)
+                          for n in (2, 30, 200) for r in (1.0, 1e5)
+                          for eps_b in (0.5, 2.0)], id="family"),
+])
+def test_closed_forms_keep_their_dense_diagonal_bits(plants):
+    plants = plants()
+    expected = [_dense_diagonal_forms(p) for p in plants]
+    stacked = zip(lc.deadbeat_cost_closed_forms(plants),
+                  lc.centralized_lower_bounds(plants))
+    for p, want, got in zip(plants, expected, stacked):
+        lone = (lc.deadbeat_cost_closed_form(p), lc.centralized_lower_bound(p))
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert [_bits(v) for v in lone] == [_bits(v) for v in want]

@@ -499,3 +499,137 @@ def test_nilpotent_centralized_refuses_zero_gain():
                  d_diag=[0.2, 0.4], x0=[1.0, 1.0], w0=[1.0, 1.0])
     with pytest.raises(lc.ZeroGainError, match=r"b\[2\]"):
         lc.nilpotent_centralized(p)
+
+
+# ------------------------------------------------------- dead subsystems
+# A vertex whose row and column of A are zero is coupled to nothing: its
+# Riccati entries are exactly P = 1 with no gain. A plant too large to
+# share a stack (n >= 46) is iterated on the other vertices only.
+
+def with_dead_vertices(p, dead):
+    """p with the rows and columns of A at the 0-based vertices dead
+    zeroed, self-loops included."""
+    a = p.A.copy()
+    a[dead, :] = 0.0
+    a[:, dead] = 0.0
+    return lc.Plant(A=a, b_diag=p.b_diag, d_diag=p.d_diag, x0=p.x0, w0=p.w0)
+
+
+def assert_dead_block(sol, p, dead):
+    """P = I, G1 = 0 and G2 = -D on the dead vertices' rows and columns."""
+    n = p.n
+    alive = np.setdiff1d(np.arange(n), dead)
+    for rows, cols in ((dead, np.arange(n)), (alive, dead)):
+        block = np.ix_(rows, cols)
+        assert np.array_equal(sol.P[block], np.eye(n)[block])
+        assert np.array_equal(sol.G1[block], np.zeros((n, n))[block])
+        assert np.array_equal(sol.G2[block], -np.diag(p.d_diag)[block])
+
+
+@pytest.mark.parametrize("n", [3, 30, 60, 200])
+def test_padded_family_is_the_n2_solution_bit_for_bit(n):
+    dead = np.arange(2, n)
+    for eps_b in (0.5, 1.0):
+        for r in (1.0, 10.0, 1e3, 1e5):
+            core = lc.solve_singular_dare(lc.worst_case_family(1, 2, r, eps_b, 2))
+            p = lc.worst_case_family(1, 2, r, eps_b, n)
+            sol = lc.solve_singular_dare(p)
+            assert np.array_equal(sol.P[:2, :2], core.P)
+            assert np.array_equal(sol.G1[:2, :2], core.G1)
+            assert np.array_equal(sol.G2[:2, :2], core.G2)
+            assert (sol.iterations, sol.residual) == (core.iterations, core.residual)
+            assert_dead_block(sol, p, dead)
+
+
+@pytest.mark.parametrize("n", [1, 4, 46])
+def test_zero_coupling_is_solved_exactly(n):
+    rng = np.random.default_rng(n)
+    p = lc.Plant(A=np.zeros((n, n)), b_diag=rng.uniform(0.5, 2.0, n),
+                 d_diag=rng.uniform(-1.0, 1.0, n), x0=np.ones(n), w0=np.ones(n))
+    for sol in (lc.solve_singular_dare(p), *lc.solve_singular_dares([p, p])):
+        assert np.array_equal(sol.P, np.eye(n))
+        assert np.array_equal(sol.G1, np.zeros((n, n)))
+        assert np.array_equal(sol.G2, -np.diag(p.d_diag))
+        assert (sol.iterations, sol.residual) == (2, 0.0)
+
+
+def dense_value_iteration(p, steps):
+    """steps value-iteration steps of the n-dim DARE from P = 0 on the
+    dense A and B, written out here as an oracle."""
+    a, b, eye = p.A, p.B, np.eye(p.n)
+    p_mat = np.zeros((p.n, p.n))
+    for _ in range(steps):
+        cross = b.T @ p_mat @ a
+        p_mat = (eye + a.T @ p_mat @ a
+                 - cross.T @ np.linalg.solve(eye + b.T @ p_mat @ b, cross))
+        p_mat = 0.5 * (p_mat + p_mat.T)
+    return p_mat
+
+
+def dead_vertex_plants(n, count=4):
+    """Sink-graph plants of size n with about 30% of their vertices dead."""
+    plants = []
+    for seed in range(count):
+        rng = np.random.default_rng([n, seed, 1])
+        dead = np.flatnonzero(rng.random(n) < 0.3)
+        if not len(dead):
+            dead = np.array([int(rng.integers(n))])
+        plants.append((with_dead_vertices(sink_graph_plant(seed, n), dead), dead))
+    return plants
+
+
+@pytest.mark.parametrize("n", [5, 20, 60])
+def test_dead_vertices_match_the_dense_iteration(n):
+    eps = np.finfo(float).eps
+    for p, dead in dead_vertex_plants(n):
+        sol = lc.solve_singular_dare(p)
+        assert_dead_block(sol, p, dead)
+        # the same steps on all n vertices differ only in summation order;
+        # a dense n-term product rounds within n ulps, so 8 n ulps of P's
+        # scale (40 ulps at most at n = 60 when this was written)
+        ref = dense_value_iteration(p, sol.iterations)
+        assert np.max(np.abs(sol.P - ref)) <= 8 * n * eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [5, 20, 60])
+def test_dead_vertices_match_scipy(n):
+    linalg = pytest.importorskip("scipy.linalg")
+    for p, _ in dead_vertex_plants(n, count=2):
+        sol = lc.solve_singular_dare(p)
+        a_t, b_t = augmented_pair(p)
+        x_ref = linalg.solve_discrete_are(a_t, b_t, np.eye(2 * n), np.zeros((n, n)))
+        assert np.max(np.abs(sol.X - x_ref)) <= 1e-9 * np.max(np.abs(sol.X))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 45, 46])
+def test_members_with_other_dead_vertices_match_their_lone_solves(n):
+    # members of one stack whose dead vertices differ, A = 0 included:
+    # a member's bits do not depend on its mates
+    rng = np.random.default_rng(n)
+    plants = [with_dead_vertices(p, np.flatnonzero(rng.random(n) < 0.4))
+              for p in random_plants(seed=60 + n, count=9, n=n)]
+    plants.append(with_dead_vertices(plants[0], np.arange(n)))
+    assert len({tuple((p.A != 0).any(axis=0) | (p.A != 0).any(axis=1))
+                for p in plants}) > 2
+    for p, sol in zip(plants, lc.solve_singular_dares(plants)):
+        alone = lc.solve_singular_dare(p)
+        assert np.array_equal(sol.P, alone.P)
+        assert np.array_equal(sol.G1, alone.G1)
+        assert np.array_equal(sol.G2, alone.G2)
+        assert (sol.iterations, sol.residual) == (alone.iterations, alone.residual)
+
+
+def test_only_plants_too_large_to_share_a_stack_are_cut(monkeypatch):
+    shapes = []
+    iterate = lc.riccati._iterate
+
+    def recorded(a, *args):
+        shapes.append(a.shape)
+        return iterate(a, *args)
+
+    monkeypatch.setattr(lc.riccati, "_iterate", recorded)
+    family = [lc.worst_case_family(1, 2, 10.0, 1.0, n) for n in (45, 45, 46, 200)]
+    list(lc.solve_singular_dares(family))
+    # n = 45 plants share a stack of two and keep all 45 vertices; from
+    # n = 46 on, each plant is alone and iterated on its two live vertices
+    assert shapes == [(2, 45, 45), (1, 2, 2), (1, 2, 2)]
