@@ -25,7 +25,6 @@ from .errors import (
 )
 from .graphs import (
     DirectedGraph,
-    SinkPartition,
     complete_graph,
     design_condition_applies,
     design_conditions,
@@ -35,7 +34,6 @@ from .graphs import (
     graph_to_dict,
     isolated_nodes,
     self_loops_only,
-    sink_partition,
     sinks,
 )
 from .plant import (

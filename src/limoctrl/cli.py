@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import LimoctrlError
 from .evaluation import simulate_cost
-from .graphs import design_condition_applies, graph_from_dict
-from .plant import plant_from_dict, validate
+from .graphs import _size_error, design_condition_applies, graph_from_dict, size_from_dict
+from .plant import _graph_size_error, plant_from_dict, validate
 from .ratio import ratio_report_to_csv, ratio_sweep
 from .synthesis import STRATEGIES, strategy_builder
 from .verify import run_acceptance
@@ -45,6 +45,16 @@ def _build(loader, payload, what):
         return loader(payload)
     except (KeyError, TypeError, ValueError) as exc:
         _fail_usage(f"{what} JSON has the wrong shape: {exc}")
+
+
+def _load_graph(path, what, n, size_error):
+    """The graph in the JSON file at path, refused with size_error(n, its
+    "n") before its n x n mask is built if it has another size."""
+    payload = _load_json(path, what)
+    error = size_error(n, _build(size_from_dict, payload, what))
+    if error:
+        raise error
+    return _build(graph_from_dict, payload, what)
 
 
 EXIT_CLOSED_STDOUT = 141      # 128 + SIGPIPE, as a shell reports it
@@ -129,12 +139,11 @@ def _grid(text):
 
 def cmd_validate(args):
     p = _build(plant_from_dict, _load_json(args.plant, "plant"), "plant")
-    g = _build(graph_from_dict, _load_json(args.graph, "graph"), "graph")
+    g = _load_graph(args.graph, "graph", p.n, _graph_size_error)
     violations = validate(p, g, args.eps_b)
     lines = [json.dumps(v.as_dict()) for v in violations]
     if args.design_graph:
-        g_c = _build(graph_from_dict, _load_json(args.design_graph, "design graph"),
-                     "design graph")
+        g_c = _load_graph(args.design_graph, "design graph", g.n, _size_error)
         applies, witness = design_condition_applies(g, g_c)
         lines.append(json.dumps({"design_condition_applies": applies,
                                  "witness": list(witness) if witness else None}))
@@ -147,7 +156,7 @@ def cmd_validate(args):
 
 def cmd_synthesize(args):
     p = _build(plant_from_dict, _load_json(args.plant, "plant"), "plant")
-    g = _build(graph_from_dict, _load_json(args.graph, "graph"), "graph")
+    g = _load_graph(args.graph, "graph", p.n, _graph_size_error)
     violations = validate(p, g, args.eps_b)
     if violations:
         for v in violations:

@@ -96,11 +96,8 @@ def _initial_states(plants):
 
 def closed_loop(p, k):
     """Assemble the combined linear system for plant p under controller k."""
-    error = _size_mismatch((p, k))
-    if error:
-        raise error
-    transition, mix_map = _closed_loops([(p, k)])
-    return ClosedLoop(transition=transition[0], mix_map=mix_map[0], n=p.n)
+    return alone((p, k), _size_mismatch, lambda pairs: [
+        ClosedLoop(transition=t, mix_map=m, n=p.n) for t, m in zip(*_closed_loops(pairs))])
 
 
 def _trajectory_group(pairs, steps):

@@ -132,74 +132,23 @@ def isolated_nodes(g):
     return {int(v) + 1 for v in np.flatnonzero(~touched)}
 
 
-@dataclass(frozen=True, eq=False)
-class SinkPartition:
-    """Adjacency mask permuted so that sinks come last.
-
-    permutation lists the original 1-based vertices in their new order,
-    non-sinks first, relative order preserved on both sides. c is the sink
-    count. nonsink_block holds couplings among non-sinks, cross_block the
-    couplings from non-sinks into sinks, sink_block the sink self-loops
-    (always diagonal: sinks have no edges to other vertices).
-    """
-    permutation: tuple
-    c: int
-    nonsink_block: np.ndarray
-    cross_block: np.ndarray
-    sink_block: np.ndarray
-
-
-def sink_partition(g):
-    sink_set = sinks(g)
-    order = [v for v in range(1, g.n + 1) if v not in sink_set]
-    order += [v for v in range(1, g.n + 1) if v in sink_set]
-    idx = np.array(order, dtype=int) - 1
-    permuted = g.adj[np.ix_(idx, idx)]
-    c = len(sink_set)
-    k = g.n - c
-    blocks = (permuted[:k, :k], permuted[k:, :k], permuted[k:, k:])
-    for b in blocks:
-        b.setflags(write=False)
-    return SinkPartition(permutation=tuple(order), c=c,
-                         nonsink_block=blocks[0],
-                         cross_block=blocks[1],
-                         sink_block=blocks[2])
-
-
-def _pair_error(g_p, g_c):
-    if g_p.n != g_c.n:
-        return DimensionMismatchError(
-            f"vertex counts differ: {g_p.n} vs {g_c.n}")
-    loops = g_c.adj.diagonal()
-    if not loops.all():
-        return MissingSelfLoopError(
-            f"design graph lacks the self-loop at vertex {int(np.argmin(loops)) + 1}")
+def _size_error(n_p, n_c):
+    """The DimensionMismatchError of a design graph on n_c vertices against
+    a plant graph on n_p, or None when the counts agree."""
+    if n_p != n_c:
+        return DimensionMismatchError(f"vertex counts differ: {n_p} vs {n_c}")
     return None
 
 
 def _condition_group(pairs):
-    """design_condition_applies of each (g_p, g_c) pair whose g_p has one
-    size n, or the error it raises alone, searched as (m, n, n) stacks.
-
-    Vertex counts and self-loops are checked for the whole stack at once;
-    _pair_error builds the message of each member that fails."""
+    """design_condition_applies of each (g_p, g_c) pair of one size n that
+    has passed the size gate, or the MissingSelfLoopError it raises alone,
+    searched as (m, n, n) stacks. Every member is searched, and then the
+    self-loops of the whole stack are tested at once: a member whose g_c
+    lacks one gets its error in place of its result."""
     n = pairs[0][0].n
-    results = [None] * len(pairs)
-    sized = [pos for pos, (_, g_c) in enumerate(pairs) if g_c.n == n]
-    design = (stack([pairs[pos][1].adj for pos in sized]) if sized
-              else np.zeros((0, n, n), dtype=np.int8))
-    looped = design.diagonal(axis1=1, axis2=2).all(axis=1)
-    ok = [pos for pos, loops in zip(sized, looped.tolist()) if loops]
-    if len(ok) < len(pairs):
-        kept = set(ok)
-        for pos, pair in enumerate(pairs):
-            if pos not in kept:
-                results[pos] = _pair_error(*pair)
-        design = design[looped]
-    if not ok:
-        return results
-    pairs = [pairs[pos] for pos in ok]
     m = len(pairs)
+    design = stack([g_c.adj for _, g_c in pairs])
     # Both masks are 0/1, so a > b means a = 1 and b = 0. edge[k, i, j] is
     # the edge i+1 -> j+1 of member k's g_p.
     edge = stack([g_p.adj for g_p, _ in pairs]).transpose(0, 2, 1)
@@ -211,15 +160,19 @@ def _condition_group(pairs):
     # the first hit of each member, or 0 for none: entry 0 is on the
     # diagonal, which into has cleared
     first = hits.argmax(axis=1)
-    for pos in ok:
-        results[pos] = (False, None)
+    results = [(False, None)] * m
     found = np.flatnonzero(first)
     if found.size:
         i, j = np.divmod(first[found], n)
         out[found, j, i] = False
         l = out[found, j].argmax(axis=1)
         for k, wi, wj, wl in zip(found.tolist(), i.tolist(), j.tolist(), l.tolist()):
-            results[ok[k]] = (True, (wi + 1, wj + 1, wl + 1))
+            results[k] = (True, (wi + 1, wj + 1, wl + 1))
+    loops = design.diagonal(axis1=1, axis2=2)
+    for k, looped in enumerate(loops.all(axis=1).tolist()):
+        if not looped:
+            results[k] = MissingSelfLoopError(
+                f"design graph lacks the self-loop at vertex {int(np.argmin(loops[k])) + 1}")
     return results
 
 
@@ -228,8 +181,9 @@ def design_conditions(pairs):
     order. Pairs whose g_p has one size are searched as one stack
     (stacks.in_stacks); a pair's DimensionMismatchError or
     MissingSelfLoopError is raised at its turn."""
-    return in_stacks(pairs, lambda pair: pair[0].n, None, _condition_group,
-                     lambda pair: design_condition_applies(*pair))
+    return in_stacks(pairs, lambda pair: pair[0].n,
+                     lambda pair: _size_error(pair[0].n, pair[1].n),
+                     _condition_group, lambda pair: design_condition_applies(*pair))
 
 
 def design_condition_applies(g_p, g_c):
@@ -248,4 +202,5 @@ def design_condition_applies(g_p, g_c):
     such pair and the smallest l != i in out[j] give the lexicographically
     first triple.
     """
-    return alone((g_p, g_c), None, _condition_group)
+    return alone((g_p, g_c), lambda pair: _size_error(pair[0].n, pair[1].n),
+                 _condition_group)

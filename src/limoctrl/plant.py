@@ -150,6 +150,14 @@ class Violation:
                 "message": self.message}
 
 
+def _graph_size_error(n, n_g):
+    """The DimensionMismatchError of n subsystems against n_g vertices, or None."""
+    if n != n_g:
+        return DimensionMismatchError(
+            f"plant has {n} subsystems but graph has {n_g} vertices")
+    return None
+
+
 def validate(p, g_p, eps_b):
     """Check p against the coupling mask of g_p and the input-gain floor.
 
@@ -163,9 +171,9 @@ def validate(p, g_p, eps_b):
     if not positive_finite(eps_b):
         raise NonPositiveEpsilonError(
             f"eps_b must be positive and finite, got {eps_b}")
-    if p.n != g_p.n:
-        raise DimensionMismatchError(
-            f"plant has {p.n} subsystems but graph has {g_p.n} vertices")
+    error = _graph_size_error(p.n, g_p.n)
+    if error:
+        raise error
     out = [Violation(constraint="finite_entries", where=where, message=message)
            for where, message in _non_finite_entries(
                (("A", p.A), ("B_diag", p.b_diag), ("D_diag", p.d_diag),

@@ -21,7 +21,7 @@ from .errors import (
     NonPositiveEpsilonError,
     ZeroParameterError,
 )
-from .graphs import isolated_nodes, sink_partition
+from .graphs import isolated_nodes, sink_masks
 from .plant import positive_finite, sample_ensemble, worst_case_family
 # bound but unused here: perfbench's tracer tests read these two names
 from .riccati import augment, solve_singular_dare  # noqa: F401
@@ -223,12 +223,11 @@ def sink_aware_ratio_case(g_p, eps_b):
     isolated = isolated_nodes(g_p)
     if isolated:
         raise InvalidSpecError(f"graph has isolated vertices {sorted(isolated)}")
-    part = sink_partition(g_p)
-    k = g_p.n - part.c
-    off_diag = part.nonsink_block[~np.eye(k, dtype=bool)] if k else np.array([])
-    if off_diag.size and off_diag.any():
+    cross = (g_p.adj != 0) & ~np.eye(g_p.n, dtype=bool)
+    nonsink = ~sink_masks([g_p])[0]
+    if cross[np.ix_(nonsink, nonsink)].any():
         return "bound_case", ratio_bound(eps_b)
-    if not part.nonsink_block.any() and not part.sink_block.any():
+    if not g_p.adj.diagonal().any():
         return "exact_one_case", 1.0
     return "open_case", None
 

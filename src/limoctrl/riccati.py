@@ -24,10 +24,13 @@ iterated on its core, the other vertices. A smaller plant is iterated on
 all n vertices: cutting it would split its stack by core size (26 to 33%
 slower per plant on verify's stacks), or, with one core for the stack,
 make a member's bits depend on its stack-mates, since BLAS and LAPACK sum
-a smaller matrix's products in another order. So on a large plant with a
-dead vertex P can differ from the n-dim iteration's in the last places
-(tens to hundreds of ulps at n = 60); the worst-case family keeps the
-bits of the n = 2 family, its core, at every n.
+a smaller matrix's products in another order. So from n = 46 on neither
+a DareSolution's iterations nor P's last digits are a property of the
+plant alone; they follow the BLAS build's summation order. On 20 plants
+with dead vertices at n = 60, the core and the n-dim iteration stopped at
+another step in 15 (12 against 14, 63 against 25), and P differed by up
+to 372 ulps of its scale. The large-n bits the tests pin are the
+worst-case family's, which keeps the bits of its n = 2 core at every n.
 
 Plants of one size n are solved together, as (m, n, n) stacks with one
 member per plant. Each member leaves the stack at the step at which it
@@ -284,7 +287,9 @@ def solve_singular_dare(p, tol=1e-12, max_iter=100000):
     dead vertex P is 1 on the diagonal, G1 is zero and G2 is -d_ii on its
     row and column; its step change is 1 at step 1 and 0 after, so the
     iterations and the residual are the core's, and with A = 0 they are 2
-    and 0.
+    and 0. From n = 46 on the iterations and P's last digits also depend
+    on the BLAS build (module docstring); the tests pin the worst-case
+    family's.
 
     The absolute tolerance is unreachable once entries of P exceed about
     1e4 (one ulp is then larger than tol), so an iterate that is stationary

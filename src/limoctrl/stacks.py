@@ -5,7 +5,7 @@ n, so the stacked forms in plant, synthesis, riccati, evaluation and graphs
 evaluate the members of one size n as (m, n, n) stacks, one call per step
 for the whole stack. in_stacks is the one driver they share: it groups by
 n, caps each stack, and hands the results back in input order. It is also
-the one member gate: each stacked form passes a check, error_of(item), and
+the one member gate: every stacked form passes a check, error_of(item), and
 a pure kernel, and only the members that pass their check reach the kernel.
 alone is the same gate for the lone forms.
 """
@@ -27,13 +27,11 @@ def in_stacks(items, size, error_of, evaluate, lone):
     the exception a member fails its precondition with, or None; the
     members that pass are handed to evaluate(members), which returns one
     result per member, or the exception that evaluating the member alone
-    raises. With error_of None every member is handed over, for a kernel
-    that gates its whole stack itself. A stack is evaluated when its first
-    member's turn comes, and a stack of one goes through lone(item)
-    instead. A member's exception is raised at its turn, so a caller that
-    uses each result as it comes holds at most one stack's results per
-    size, and no stack behind the first failure in input order is
-    evaluated.
+    raises. A stack is evaluated when its first member's turn comes, and a
+    stack of one goes through lone(item) instead. A member's exception is
+    raised at its turn, so a caller that uses each result as it comes holds
+    at most one stack's results per size, and no stack behind the first
+    failure in input order is evaluated.
     """
     items = list(items)
     sizes = [size(item) for item in items]
@@ -50,15 +48,13 @@ def in_stacks(items, size, error_of, evaluate, lone):
             if len(members) == 1:
                 yield lone(item)
                 continue
-            passed = members
-            if error_of:
-                passed = []
-                for k in members:
-                    error = error_of(items[k])
-                    if error:
-                        ready[k] = error
-                    else:
-                        passed.append(k)
+            passed = []
+            for k in members:
+                error = error_of(items[k])
+                if error:
+                    ready[k] = error
+                else:
+                    passed.append(k)
             if passed:
                 ready.update(zip(passed, evaluate([items[k] for k in passed])))
         result = ready.pop(pos)
@@ -69,12 +65,11 @@ def in_stacks(items, size, error_of, evaluate, lone):
 
 def alone(item, error_of, evaluate):
     """The result of evaluate([item]), the stacked kernel on a stack of
-    one, once item passes error_of (None: no check); an exception either
-    returns is raised."""
-    if error_of:
-        error = error_of(item)
-        if error:
-            raise error
+    one, once item passes error_of; an exception either returns is
+    raised."""
+    error = error_of(item)
+    if error:
+        raise error
     (result,) = evaluate([item])
     if isinstance(result, Exception):
         raise result

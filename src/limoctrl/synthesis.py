@@ -30,6 +30,7 @@ from .evaluation import (
 from .graphs import sink_masks
 from .plant import (
     Plant,
+    _graph_size_error,
     is_nilpotent_deg2,
     require_nonzero_gains,
     validate,
@@ -202,10 +203,7 @@ def _sink_aware_error(pair):
     p, g_p = pair
     if g_p is None:
         return InvalidSpecError("the sink-aware design needs the plant graph")
-    if p.n != g_p.n:
-        return DimensionMismatchError(
-            f"plant has {p.n} subsystems but graph has {g_p.n} vertices")
-    return zero_gain_error(p)
+    return _graph_size_error(p.n, g_p.n) or zero_gain_error(p)
 
 
 def _sink_stack(plants, sink):

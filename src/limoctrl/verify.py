@@ -16,6 +16,7 @@ import itertools
 import numpy as np
 
 from . import evaluation, graphs, plant, ratio, riccati, synthesis
+from .errors import InvalidSpecError
 
 RATIO_BOUND_1 = 2.6180340
 RATIO_BOUND_HALF = 5.8284271
@@ -446,8 +447,11 @@ def run_acceptance(seed=0, scale=1.0):
 
     At scale 0 the ensemble checks are skipped (reported as such); the
     fixed-input checks still run. Each shared ensemble is drawn once, handed
-    to its two checks and dropped before the next is drawn.
+    to its two checks and dropped before the next is drawn. A negative or
+    non-finite scale is refused with InvalidSpecError before any check.
     """
+    if not 0 <= scale < np.inf:
+        raise InvalidSpecError(f"scale must be non-negative and finite, got {scale}")
     c_big = round(200 * scale)
     c_mid = round(100 * scale)
     c_small = round(50 * scale)

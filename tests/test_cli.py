@@ -267,6 +267,25 @@ def test_non_integer_size_exits_one(files, capsys, what, n):
         assert out.err.startswith('error: DimensionMismatchError: "n" must be an integer')
 
 
+def test_graph_of_another_size_is_refused_before_its_mask_is_built(files, capsys):
+    # no mask of n = 10**9 can be allocated, so the size is compared from
+    # "n" alone; a 3-vertex graph gets the same message
+    for n in (3, 10 ** 9):
+        wrong = files["tmp"] / "wrong.json"
+        wrong.write_text(json.dumps({"n": n, "edges": [[1, 2]]}))
+        plant_graph = f"plant has 2 subsystems but graph has {n} vertices"
+        for argv, message in (
+                (["validate", "--graph", str(wrong)], plant_graph),
+                (["synthesize", "--strategy", "deadbeat", "--graph", str(wrong)],
+                 plant_graph),
+                (["validate", "--graph", str(files["graph"]), "--design-graph",
+                  str(wrong)], f"vertex counts differ: 2 vs {n}")):
+            rc = main([*argv, "--plant", str(files["plant"])])
+            out = capsys.readouterr()
+            assert (rc, out.out) == (1, "")
+            assert out.err == f"error: DimensionMismatchError: {message}\n"
+
+
 def test_synthesize_out_file(files, capsys):
     target = files["tmp"] / "controller.json"
     rc = main(["synthesize", "--plant", str(files["plant"]),
@@ -367,6 +386,21 @@ def test_verify_scale_zero_skips_ensembles(files, capsys):
                and not item["passed"] for item in fixed)
     assert any(item["name"] == "criterion_03_dare_explicit_oracle"
                and item["passed"] for item in fixed)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+def test_verify_refuses_a_scale_it_cannot_run(tmp_path, capsys, scale):
+    # nan and inf size no ensemble, and -1 would run the ensemble checks
+    # over no plants, so that the strict-xfail check 07a would pass
+    with pytest.raises(lc.InvalidSpecError, match="scale must be non-negative"):
+        lc.run_acceptance(scale=float(scale))
+    report = tmp_path / "report.jsonl"
+    rc = main(["verify", "--scale", scale, "--out", str(report)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: InvalidSpecError: scale must be non-negative and "
+                   f"finite, got {float(scale)}\n")
+    assert not report.exists()
 
 
 # ------------------------------------------------ controller writer, parser

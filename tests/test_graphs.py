@@ -1,4 +1,4 @@
-"""Directed-graph layer: constructors, queries, partitions, design condition."""
+"""Directed-graph layer: constructors, queries, sinks, design condition."""
 
 import numpy as np
 import pytest
@@ -112,29 +112,6 @@ def test_sinks_and_isolated_nodes_match_edge_list_oracle():
         assert lc.isolated_nodes(g) == set(range(1, n + 1)) - touched
 
 
-def test_sink_partition_orders_nonsinks_first():
-    g = lc.from_edge_list(2, [(2, 1)])
-    part = lc.sink_partition(g)
-    assert part.permutation == (2, 1)
-    assert part.c == 1
-    assert part.nonsink_block.shape == (1, 1) and part.nonsink_block[0, 0] == 0
-    assert part.cross_block[0, 0] == 1
-    assert part.sink_block[0, 0] == 0
-
-
-def test_sink_partition_blocks_match_adjacency():
-    g = lc.from_edge_list(4, [(1, 1), (2, 2), (3, 3), (4, 4),
-                              (1, 2), (2, 1), (1, 3), (2, 4)])
-    part = lc.sink_partition(g)
-    assert part.permutation == (1, 2, 3, 4)
-    assert part.c == 2
-    assert np.array_equal(part.nonsink_block, [[1, 1], [1, 1]])
-    assert np.array_equal(part.cross_block, [[1, 0], [0, 1]])
-    assert np.array_equal(part.sink_block, np.eye(2, dtype=np.int8))
-    # sink rows never reach other vertices, so the sink block is diagonal
-    assert np.array_equal(part.sink_block, np.diag(np.diag(part.sink_block)))
-
-
 def test_design_condition_witness():
     chain = lc.from_edge_list(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
     found, witness = lc.design_condition_applies(chain, lc.self_loops_only(3))
@@ -186,9 +163,6 @@ def test_supergraph_and_round_trip_properties(n, bits):
         [[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)])
     g = lc.from_adjacency(mask)
     assert lc.graph_from_dict(lc.graph_to_dict(g)).edges() == g.edges()
-    part = lc.sink_partition(g)
-    assert sorted(part.permutation) == list(range(1, n + 1))
-    assert part.c == len(lc.sinks(g))
 
 
 def test_design_condition_skips_pair_whose_only_completion_is_i():

@@ -272,6 +272,47 @@ def test_sink_aware_ratio_case_labels():
         lc.sink_aware_ratio_case(lc.self_loops_only(2), 1.0)
 
 
+def _partition_ratio_case(g_p, eps_b):
+    """sink_aware_ratio_case as it was written on the sink partition: the
+    adjacency permuted so that non-sinks come first, and its diagonal
+    blocks on the non-sinks and on the sinks."""
+    isolated = lc.isolated_nodes(g_p)
+    if isolated:
+        raise lc.InvalidSpecError(f"graph has isolated vertices {sorted(isolated)}")
+    sink_set = lc.sinks(g_p)
+    order = [v for v in range(1, g_p.n + 1) if v not in sink_set]
+    order += [v for v in range(1, g_p.n + 1) if v in sink_set]
+    idx = np.array(order, dtype=int) - 1
+    permuted = g_p.adj[np.ix_(idx, idx)]
+    k = g_p.n - len(sink_set)
+    nonsink_block, sink_block = permuted[:k, :k], permuted[k:, k:]
+    off_diag = nonsink_block[~np.eye(k, dtype=bool)] if k else np.array([])
+    if off_diag.size and off_diag.any():
+        return "bound_case", lc.ratio_bound(eps_b)
+    if not nonsink_block.any() and not sink_block.any():
+        return "exact_one_case", 1.0
+    return "open_case", None
+
+
+def test_sink_aware_ratio_case_matches_the_partition_classifier():
+    rng = np.random.default_rng(28)
+    seen = []
+    for _ in range(2000):
+        n = int(rng.integers(1, 8))
+        g = lc.from_adjacency(rng.random((n, n)) < rng.uniform(0.0, 0.6))
+        eps_b = float(rng.uniform(0.25, 4.0))
+        outcomes = []
+        for classify in (lc.sink_aware_ratio_case, _partition_ratio_case):
+            try:
+                outcomes.append(classify(g, eps_b))
+            except lc.InvalidSpecError as exc:
+                outcomes.append(("isolated", str(exc)))
+        assert outcomes[0] == outcomes[1]
+        seen.append(outcomes[0][0])
+    counts = {label: seen.count(label) for label in set(seen)}
+    assert counts.keys() == {"bound_case", "exact_one_case", "open_case", "isolated"}, counts
+
+
 def test_csv_report_layout_and_round_trip():
     report = lc.ratio_sweep(1, 2, 1.0, [1.0, 10.0])
     text = lc.ratio_report_to_csv(report)
